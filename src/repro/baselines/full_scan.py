@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.engine import WalkEngine
+from repro.core.kernels import GatherContext
 from repro.graph.csr import CSRGraph
 
 __all__ = ["FullScanWalkEngine", "gather_out_edges", "segmented_sample"]
@@ -113,45 +114,34 @@ class FullScanWalkEngine(WalkEngine):
     "trial" (the scan never rejects).
     """
 
-    def _attempt_once(self, walker_ids: np.ndarray) -> np.ndarray:
+    def _sample_round(self, ctx: GatherContext) -> np.ndarray:
+        walker_ids, vertices = ctx.walker_ids, ctx.vertices
+        counters = self.stats.counters
+        counters.trials += walker_ids.size
         if not self.program.dynamic:
             # Static probabilities are precomputed; sample directly.
-            edges = self.tables.sample_batch(
-                self.walkers.current[walker_ids], self._rng
-            )
-            self.stats.counters.trials += walker_ids.size
-            self.stats.counters.accepts += walker_ids.size
-            self._move(walker_ids, edges)
+            edges = self.tables.sample_batch(vertices, self._rng)
+            counters.accepts += walker_ids.size
+            self._commit_moves(walker_ids, self.graph.targets[edges])
             return np.ones(walker_ids.size, dtype=bool)
 
-        vertices = self.walkers.current[walker_ids]
         edge_indices, segment_ids, segment_offsets = gather_out_edges(
             self.graph, vertices
         )
         dynamic = self.program.batch_dynamic_comp(
             self.graph, self.walkers, walker_ids[segment_ids], edge_indices
         )
-        self.stats.counters.pd_evaluations += edge_indices.size
-        self.stats.counters.trials += walker_ids.size
+        counters.pd_evaluations += edge_indices.size
         mass = self.tables.static_weights[edge_indices] * dynamic
         choices, _totals = segmented_sample(mass, segment_offsets, self._rng)
 
-        moved = np.ones(walker_ids.size, dtype=bool)
         sampled = choices >= 0
         if sampled.any():
-            self.stats.counters.accepts += int(sampled.sum())
-            self._move(walker_ids[sampled], edge_indices[choices[sampled]])
-        dead = np.flatnonzero(~sampled)
-        if dead.size:
-            # No out-edge with positive transition probability.
-            doomed = walker_ids[dead]
-            self.walkers.kill(doomed)
-            self.stats.termination.by_dead_end += doomed.size
-        return moved
-
-    def _move(self, walker_ids: np.ndarray, edges: np.ndarray) -> None:
-        targets = self.graph.targets[edges]
-        self.walkers.move(walker_ids, targets)
-        self.stats.total_steps += walker_ids.size
-        if self._recorder is not None:
-            self._recorder.record_moves(walker_ids, targets)
+            counters.accepts += int(sampled.sum())
+            self._commit_moves(
+                walker_ids[sampled],
+                self.graph.targets[edge_indices[choices[sampled]]],
+            )
+        # No out-edge with positive transition probability.
+        self._terminate_dead_ends(walker_ids[~sampled])
+        return np.ones(walker_ids.size, dtype=bool)

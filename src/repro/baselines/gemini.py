@@ -40,6 +40,7 @@ from repro.cluster.engine import DistributedWalkEngine
 from repro.cluster.network import MessageKind
 from repro.cluster.scheduler import ThreadPolicy
 from repro.core.config import WalkConfig
+from repro.core.kernels import GatherContext
 from repro.core.program import WalkerProgram
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import MirroredPartition
@@ -77,16 +78,19 @@ class GeminiWalkEngine(DistributedWalkEngine):
         )
 
     # ------------------------------------------------------------------
-    def _distributed_round(self, walker_ids: np.ndarray) -> np.ndarray:
-        graph, program, walkers = self.graph, self.program, self.walkers
-        counters = self.stats.counters
-        vertices = walkers.current[walker_ids]
-        masters = self.partition.owners(vertices)
+    def _remote_mirrors(self, vertices: np.ndarray) -> np.ndarray:
+        """Mirrors of each vertex on nodes other than its master."""
+        return self._mirror_counts[vertices] - self._master_is_mirror[
+            vertices
+        ].astype(np.int64)
 
-        remote_mirrors = (
-            self._mirror_counts[vertices]
-            - self._master_is_mirror[vertices].astype(np.int64)
-        )
+    def _sample_round(self, ctx: GatherContext) -> np.ndarray:
+        """Two-phase sampling for every program (static or dynamic,
+        step- or trial-paced); never rejects, so one round resolves
+        every lane."""
+        graph, program = self.graph, self.program
+        counters = self.stats.counters
+        walker_ids, vertices = ctx.walker_ids, ctx.vertices
 
         if program.dynamic:
             # Recompute Pd for every out-edge, attributed to the node
@@ -96,7 +100,7 @@ class GeminiWalkEngine(DistributedWalkEngine):
                 graph, vertices
             )
             dynamic = program.batch_dynamic_comp(
-                graph, walkers, walker_ids[segment_ids], edge_indices
+                graph, self.walkers, walker_ids[segment_ids], edge_indices
             )
             counters.pd_evaluations += edge_indices.size
             scan_owners = self.mirrored.edge_owners[edge_indices]
@@ -112,9 +116,10 @@ class GeminiWalkEngine(DistributedWalkEngine):
             mass = self.tables.static_weights[edge_indices] * dynamic
             choices, _ = segmented_sample(mass, segment_offsets, self._rng)
             sampled = choices >= 0
-            edges = np.where(sampled, edge_indices[np.maximum(choices, 0)], -1)
+            edges = edge_indices[choices[sampled]]
 
-            scan_requests = 2 * remote_mirrors
+            masters = self.partition.owners(vertices)
+            scan_requests = 2 * self._remote_mirrors(vertices)
             self.stats.messages_sent += self.network.record_scatter(
                 MessageKind.STATE_QUERY, masters, scan_requests
             )
@@ -128,49 +133,39 @@ class GeminiWalkEngine(DistributedWalkEngine):
             sampled = np.ones(walker_ids.size, dtype=bool)
             counters.trials += 2 * walker_ids.size  # two ITS draws
 
-        moved = np.ones(walker_ids.size, dtype=bool)
-        if sampled.any():
-            lanes = np.flatnonzero(sampled)
-            chosen = edges[lanes]
-            chosen_owner = self.mirrored.edge_owners[chosen]
-            # Phase 2 hand-off to the node hosting the sampled edge.
-            self.stats.messages_sent += self.network.record_batch(
-                MessageKind.STATE_QUERY, masters[lanes], chosen_owner
-            )
-            self.stats.messages_sent += self.network.record_batch(
-                MessageKind.QUERY_RESPONSE, chosen_owner, masters[lanes]
-            )
-            np.add.at(self._node_msgs, masters[lanes], 2)
-            np.add.at(self._node_msgs, chosen_owner, 2)
+        if edges.size:
+            counters.accepts += edges.size
+            self._commit_moves(walker_ids[sampled], graph.targets[edges])
+        self._terminate_dead_ends(walker_ids[~sampled])
+        return np.ones(walker_ids.size, dtype=bool)
 
-            # Push-style mirror broadcast: the moving vertex notifies
-            # every remote mirror (the waste the paper calls out).
-            broadcast = remote_mirrors[lanes]
-            self.stats.messages_sent += self.network.record_scatter(
-                MessageKind.WALKER_MIGRATE, masters[lanes], broadcast
-            )
-            np.add.at(self._node_msgs, masters[lanes], broadcast)
+    def _record_hops(self, movers: np.ndarray, targets: np.ndarray) -> None:
+        """Gemini's message bill for one batch of moves."""
+        masters = self.partition.owners(self.walkers.current[movers])
+        # MirroredPartition places every edge on its target's master,
+        # so the mirror holding the sampled edge is that node.
+        hosts = self.partition.owners(targets)
+        # Phase 2 hand-off to the node hosting the sampled edge.
+        self.stats.messages_sent += self.network.record_batch(
+            MessageKind.STATE_QUERY, masters, hosts
+        )
+        self.stats.messages_sent += self.network.record_batch(
+            MessageKind.QUERY_RESPONSE, hosts, masters
+        )
+        np.add.at(self._node_msgs, masters, 2)
+        np.add.at(self._node_msgs, hosts, 2)
 
-            # Walker migration to the new vertex's master.
-            new_vertices = graph.targets[chosen]
-            new_masters = self.partition.owners(new_vertices)
-            migrated = self.network.record_batch(
-                MessageKind.WALKER_MIGRATE, chosen_owner, new_masters
-            )
-            self.stats.messages_sent += migrated
-            np.add.at(self._node_msgs, chosen_owner, 1)
-            np.add.at(self._node_msgs, new_masters, 1)
+        # Push-style mirror broadcast: the moving vertex notifies
+        # every remote mirror (the waste the paper calls out).
+        broadcast = self._remote_mirrors(self.walkers.current[movers])
+        self.stats.messages_sent += self.network.record_scatter(
+            MessageKind.WALKER_MIGRATE, masters, broadcast
+        )
+        np.add.at(self._node_msgs, masters, broadcast)
 
-            movers = walker_ids[lanes]
-            counters.accepts += movers.size
-            self.walkers.move(movers, new_vertices)
-            self.stats.total_steps += movers.size
-            if self._recorder is not None:
-                self._recorder.record_moves(movers, new_vertices)
-
-        dead = np.flatnonzero(~sampled)
-        if dead.size:
-            doomed = walker_ids[dead]
-            self.walkers.kill(doomed)
-            self.stats.termination.by_dead_end += doomed.size
-        return moved
+        # Walker migration from the edge's mirror to the new vertex's
+        # master — the same node, so a local delivery.
+        self.stats.messages_sent += self.network.record_batch(
+            MessageKind.WALKER_MIGRATE, hosts, hosts
+        )
+        np.add.at(self._node_msgs, hosts, 2)

@@ -22,6 +22,7 @@ import numpy as np
 from repro.algorithms.metapath import SCHEME_STATE, MetaPathWalk
 from repro.core.config import WalkConfig
 from repro.core.engine import WalkEngine
+from repro.core.kernels import GatherContext
 from repro.errors import ProgramError
 from repro.graph.csr import CSRGraph
 from repro.sampling.typed import TypedVertexAliasTables
@@ -56,27 +57,19 @@ class TypedMetaPathWalkEngine(WalkEngine):
         positions = steps % self._scheme_lengths[scheme_ids]
         return self._scheme_matrix[scheme_ids, positions]
 
-    def _attempt_once(self, walker_ids: np.ndarray) -> np.ndarray:
-        vertices = self.walkers.current[walker_ids]
+    def _sample_round(self, ctx: GatherContext) -> np.ndarray:
+        walker_ids = ctx.walker_ids
         required = self._required_types(walker_ids)
-        edges = self.typed_tables.sample_batch(vertices, required, self._rng)
+        edges = self.typed_tables.sample_batch(ctx.vertices, required, self._rng)
         self.stats.counters.trials += walker_ids.size
 
         sampled = edges >= 0
-        moved = np.ones(walker_ids.size, dtype=bool)
         if sampled.any():
-            movers = walker_ids[sampled]
-            targets = self.graph.targets[edges[sampled]]
-            self.stats.counters.accepts += movers.size
-            self.walkers.move(movers, targets)
-            self.stats.total_steps += movers.size
-            if self._recorder is not None:
-                self._recorder.record_moves(movers, targets)
-        dead = np.flatnonzero(~sampled)
-        if dead.size:
-            # No edge of the required type: the walk terminates, per
-            # the no-positive-probability rule.
-            doomed = walker_ids[dead]
-            self.walkers.kill(doomed)
-            self.stats.termination.by_dead_end += doomed.size
-        return moved
+            self.stats.counters.accepts += int(sampled.sum())
+            self._commit_moves(
+                walker_ids[sampled], self.graph.targets[edges[sampled]]
+            )
+        # No edge of the required type: the walk terminates, per the
+        # no-positive-probability rule.
+        self._terminate_dead_ends(walker_ids[~sampled])
+        return np.ones(walker_ids.size, dtype=bool)

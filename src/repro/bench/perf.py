@@ -16,14 +16,10 @@ Methodology
   kernel targets), all on the LiveJournal stand-in at scale 1.0 with
   10k walkers of length 80.
 * Timing: the walk loop only (``WalkStats.wall_time_seconds``), best
-  of ``repeats`` runs; sampling-table construction is charged to init,
-  matching the paper's methodology of excluding graph loading.
-* Each workload is also run with ``fuse_trials=False`` (the
-  single-trial comparison), with ``engine_mode="walker"`` (the
-  walker-at-a-time reference the step-centric default must not
-  regress against — see :func:`enforce_engine_floor`), and with
-  ``sampler_policy="auto"`` (whose per-degree-class decisions are
-  recorded under the entry's ``"sampler"`` key).
+  of ``repeats`` runs; sampling-table construction is charged to init
+  (reported as ``init_seconds``), matching the paper's methodology of
+  excluding graph loading.  ``fused`` records whether the program
+  took the fused multi-trial kernel (step-paced dynamic programs).
 
 The pre-PR reference throughput baked into the JSON was measured at
 the seed revision (commit ``eb6ac31``) with this same workload
@@ -51,9 +47,7 @@ __all__ = [
     "PerfWorkload",
     "PERF_WORKLOADS",
     "PRE_PR_NODE2VEC_STEPS_PER_SEC",
-    "STEP_ENGINE_FLOOR",
     "OBS_OVERHEAD_LIMIT",
-    "enforce_engine_floor",
     "enforce_obs_overhead",
     "run_perf",
     "write_report",
@@ -63,11 +57,6 @@ __all__ = [
 # measured at the seed revision before the fused-kernel/hot-path PR.
 # The acceptance target for that PR was >= 2x this figure.
 PRE_PR_NODE2VEC_STEPS_PER_SEC = 1_867_803
-
-# The step-centric engine must deliver at least this fraction of the
-# walker-centric throughput on every workload (the CI smoke gate; 0.8
-# allows quick-mode timing noise, not a real regression).
-STEP_ENGINE_FLOOR = 0.8
 
 # A *disabled* tracer (the default state: engines hold no tracer, and
 # an attached tracer with enabled=False is detached by observe()) may
@@ -101,11 +90,9 @@ _QUICK_LENGTH = 20
 
 def _time_engine(
     graph, spec, num_walkers: int, walk_length: int, seed: int,
-    fuse_trials: bool, repeats: int,
-    engine_mode: str = "step", sampler_policy: str = "fixed",
-    tracer_factory=None,
+    repeats: int, tracer_factory=None,
 ) -> dict:
-    """Best-of-``repeats`` timing of one engine configuration.
+    """Best-of-``repeats`` timing of one workload.
 
     ``tracer_factory``, when given, is called per attempt and its
     result attached via ``engine.observe`` — the obs-overhead section
@@ -120,10 +107,8 @@ def _time_engine(
             max_steps=walk_length,
             termination_probability=spec.termination_probability,
             seed=seed + attempt,
-            engine_mode=engine_mode,
-            sampler_policy=sampler_policy,
         )
-        engine = WalkEngine(graph, program, config, fuse_trials=fuse_trials)
+        engine = WalkEngine(graph, program, config)
         if tracer_factory is not None:
             engine.observe(tracer_factory())
         stats = engine.run().stats
@@ -139,8 +124,6 @@ def _time_engine(
                 "pd_evals_per_step": round(stats.pd_evaluations_per_step, 4),
                 "init_seconds": round(stats.init_time_seconds, 6),
             }
-            if sampler_policy == "auto":
-                best["sampler"] = stats.sampler.as_dict()
     return best
 
 
@@ -207,7 +190,7 @@ def _time_obs_overhead(quick: bool, seed: int, repeats: int) -> dict:
 
     def timed(tracer_factory):
         return _time_engine(
-            graph, spec, walkers, length, seed, True, repeats,
+            graph, spec, walkers, length, seed, repeats,
             tracer_factory=tracer_factory,
         )["steps_per_sec"]
 
@@ -259,77 +242,22 @@ def run_perf(
         graph = prepare_graph(
             workload.dataset, spec, scale=scale, weighted=False, seed=7
         )
-        fused = _time_engine(
-            graph, spec, walkers, length, seed, True, repeats
-        )
-        single = _time_engine(
-            graph, spec, walkers, length, seed, False, repeats
-        )
-        walker = _time_engine(
-            graph, spec, walkers, length, seed, True, repeats,
-            engine_mode="walker",
-        )
-        auto = _time_engine(
-            graph, spec, walkers, length, seed, True, repeats,
-            sampler_policy="auto",
-        )
+        timing = _time_engine(graph, spec, walkers, length, seed, repeats)
         entry = {
             "dataset": workload.dataset,
             "scale": scale,
             "num_walkers": walkers,
             "walk_length": length,
-            **fused,
-            "single_trial_steps_per_sec": single["steps_per_sec"],
-            "walker_mode_steps_per_sec": walker["steps_per_sec"],
-            "auto_policy_steps_per_sec": auto["steps_per_sec"],
-            "sampler": auto["sampler"],
+            **timing,
         }
-        if walker["steps_per_sec"]:
-            entry["step_speedup_vs_walker"] = round(
-                fused["steps_per_sec"] / walker["steps_per_sec"], 3
-            )
-        # Only meaningful where the fused kernel actually engages
-        # (step-paced dynamic programs); elsewhere both runs take the
-        # same path and the ratio would be timing noise — the key is
-        # omitted rather than carried as null.
-        if fused["fused"] and single["steps_per_sec"]:
-            entry["fused_speedup_vs_single_trial"] = round(
-                fused["steps_per_sec"] / single["steps_per_sec"], 3
-            )
         if workload.name == "node2vec" and not quick:
             entry["speedup_vs_pre_pr"] = round(
-                fused["steps_per_sec"] / PRE_PR_NODE2VEC_STEPS_PER_SEC, 3
+                timing["steps_per_sec"] / PRE_PR_NODE2VEC_STEPS_PER_SEC, 3
             )
         report["workloads"][workload.name] = entry
     report["update_throughput"] = _time_updates(quick, seed, repeats)
     report["obs"] = _time_obs_overhead(quick, seed, repeats)
     return report
-
-
-def enforce_engine_floor(
-    report: dict, floor: float = STEP_ENGINE_FLOOR
-) -> list[str]:
-    """Check the step-centric engine against the walker-centric floor.
-
-    Returns one message per workload whose step-mode throughput fell
-    below ``floor`` times its walker-mode throughput (empty when the
-    report passes).  CI runs this on the quick smoke report so an
-    accidental slowdown of the staged hot loop fails the build instead
-    of landing silently.
-    """
-    failures = []
-    for name, entry in report["workloads"].items():
-        walker_rate = entry.get("walker_mode_steps_per_sec")
-        if not walker_rate:
-            continue
-        ratio = entry["steps_per_sec"] / walker_rate
-        if ratio < floor:
-            failures.append(
-                f"{name}: step-centric engine at {ratio:.2f}x of "
-                f"walker-centric throughput ({entry['steps_per_sec']:,.0f} "
-                f"vs {walker_rate:,.0f} steps/sec; floor {floor:.2f})"
-            )
-    return failures
 
 
 def enforce_obs_overhead(
@@ -368,9 +296,8 @@ def write_report(report: dict, path: str | Path) -> Path:
 def format_report(report: dict) -> str:
     """Aligned text summary of one report, for terminal output."""
     lines = [
-        f"{'workload':10s} {'steps/sec':>12s} {'walker-mode':>12s} "
-        f"{'auto':>12s} {'single-trial':>12s} {'fused dx':>9s} "
-        f"{'trials/step':>12s} {'pd/step':>9s}"
+        f"{'workload':10s} {'steps/sec':>12s} {'fused':>6s} "
+        f"{'trials/step':>12s} {'pd/step':>9s} {'init s':>9s}"
     ]
     updates = report.get("update_throughput")
     if updates:
@@ -388,15 +315,12 @@ def format_report(report: dict) -> str:
             "disabled path)"
         )
     for name, entry in report["workloads"].items():
-        speedup = entry.get("fused_speedup_vs_single_trial")
         lines.append(
             f"{name:10s} {entry['steps_per_sec']:>12,.0f} "
-            f"{entry['walker_mode_steps_per_sec']:>12,.0f} "
-            f"{entry['auto_policy_steps_per_sec']:>12,.0f} "
-            f"{entry['single_trial_steps_per_sec']:>12,.0f} "
-            f"{speedup if speedup is not None else '-':>9} "
+            f"{'yes' if entry['fused'] else 'no':>6s} "
             f"{entry['trials_per_step']:>12.3f} "
-            f"{entry['pd_evals_per_step']:>9.3f}"
+            f"{entry['pd_evals_per_step']:>9.3f} "
+            f"{entry['init_seconds']:>9.3f}"
         )
         if "speedup_vs_pre_pr" in entry:
             lines.append(

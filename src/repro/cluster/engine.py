@@ -63,7 +63,7 @@ from repro.cluster.scheduler import (
 )
 from repro.core.config import WalkConfig
 from repro.core.engine import WalkEngine, WalkResult
-from repro.core.kernels import adaptive_trial_count, batch_multi_trial_round
+from repro.core.kernels import GatherContext, _validate_envelope
 from repro.core.program import WalkerProgram
 from repro.errors import FaultError, NodeCrashError
 from repro.graph.csr import CSRGraph
@@ -217,7 +217,6 @@ class DistributedWalkEngine(WalkEngine):
         cost_model: CostModel | None = None,
         use_lower_bound: bool = True,
         validate_bounds: bool = False,
-        fuse_trials: bool = True,
         fault_plan: FaultPlan | None = None,
         retry_policy: RetryPolicy | None = None,
         checkpoint_every: int | None = None,
@@ -231,7 +230,6 @@ class DistributedWalkEngine(WalkEngine):
             config,
             use_lower_bound=use_lower_bound,
             validate_bounds=validate_bounds,
-            fuse_trials=fuse_trials,
         )
         # self.graph, not the raw argument: the base class may have
         # unwrapped a DynamicGraph/EpochSnapshot into its epoch's CSR.
@@ -302,15 +300,6 @@ class DistributedWalkEngine(WalkEngine):
         self._owner_lookup: np.ndarray | None = None
         self._checkpoint: ClusterCheckpoint | None = None
         self._executed_supersteps = 0
-        # Engines that replace the distributed round wholesale (the
-        # Gemini baseline) keep the legacy per-round loop; the staged
-        # executor would route around their override.
-        if (
-            type(self)._distributed_round
-            is not DistributedWalkEngine._distributed_round
-        ):
-            self.engine_mode = "walker"
-            self._stepper = None
 
     # ------------------------------------------------------------------
     # The cluster's timeline is simulated: stage spans are *declared*
@@ -445,24 +434,7 @@ class DistributedWalkEngine(WalkEngine):
         if survivors.size:
             survivors = self._apply_teleports(survivors)
         if survivors.size:
-            if self.sync_mode == "trial":
-                # Second-order pacing is a protocol semantic: each
-                # trial is a two-round query exchange, so trial-paced
-                # programs always run the five-step round (the step
-                # executor would collapse the exchange).
-                self._distributed_round(survivors)
-            elif self._stepper is not None:
-                self._stepper.run_iteration(survivors)
-            elif self._fuse:
-                pending = survivors
-                while pending.size:
-                    moved = self._distributed_multi_round(pending)
-                    pending = pending[~moved]
-            else:
-                pending = survivors
-                while pending.size:
-                    moved = self._distributed_round(pending)
-                    pending = pending[~moved]
+            self._stepper.run_iteration(survivors)
 
         self._flush_streaming(active)
         self._close_superstep(active_per_node)
@@ -470,8 +442,28 @@ class DistributedWalkEngine(WalkEngine):
     # ------------------------------------------------------------------
     # Hook overrides: per-node message and work accounting
     # ------------------------------------------------------------------
+    def _sample_round(self, ctx: GatherContext) -> np.ndarray:
+        """One round of the per-node compute.
+
+        Step-paced programs with batch hooks resolve Pd locally, so
+        each node runs the shared kernels (fused multi-trial for dynamic
+        programs) and only walker migrations hit the network.
+        Second-order pacing is a protocol semantic — each trial is a
+        two-round query exchange — so trial-paced programs, and
+        programs without batch kernels, run the five-step round of
+        :meth:`_distributed_round`.
+        """
+        if self.sync_mode == "trial" or not self._batch:
+            return self._distributed_round(ctx)
+        return super()._sample_round(ctx)
+
     def _commit_moves(self, movers: np.ndarray, targets: np.ndarray) -> None:
-        """Moves migrate walkers to the new vertex's owner."""
+        self._record_hops(movers, targets)
+        super()._commit_moves(movers, targets)
+
+    def _record_hops(self, movers: np.ndarray, targets: np.ndarray) -> None:
+        """Message accounting of one batch of moves: each walker
+        migrates to the new vertex's owner.  Called before the move."""
         old_owners = self._owners(self.walkers.current[movers])
         new_owners = self._owners(targets)
         migrated = self.network.record_batch(
@@ -480,10 +472,8 @@ class DistributedWalkEngine(WalkEngine):
         np.add.at(self._node_msgs, old_owners, 1)
         np.add.at(self._node_msgs, new_owners, 1)
         self.stats.messages_sent += migrated
-        obs = self._obs
-        if obs is not None:
+        if self._obs is not None:
             self._emit_hop_spans(movers, targets, old_owners, new_owners)
-        super()._commit_moves(movers, targets)
 
     def _emit_hop_spans(
         self,
@@ -931,19 +921,17 @@ class DistributedWalkEngine(WalkEngine):
             ).astype(np.int64)
 
     # ------------------------------------------------------------------
-    def _distributed_round(self, walker_ids: np.ndarray) -> np.ndarray:
+    def _distributed_round(self, ctx: GatherContext) -> np.ndarray:
         """One trial per walker with explicit query-phase messaging.
 
-        Returns the moved mask aligned with ``walker_ids``.
+        Returns the moved mask aligned with ``ctx.walker_ids``.
         """
         graph, program, walkers = self.graph, self.program, self.walkers
         counters = self.stats.counters
+        walker_ids, vertices = ctx.walker_ids, ctx.vertices
         count = walker_ids.size
-        vertices = walkers.current[walker_ids]
         walker_nodes = self._owners(vertices)
-        upper = self.upper[vertices]
-        lower = self.lower[vertices]
-        main_area = self.tables.totals[vertices] * upper
+        upper, lower, main_area = ctx.upper, ctx.lower, ctx.main_area
 
         # --- Step 1: candidates and preliminary screening -------------
         counters.trials += count
@@ -1050,8 +1038,6 @@ class DistributedWalkEngine(WalkEngine):
             )
             counters.pd_evaluations += pd_lanes.size
             if self.validate_bounds:
-                from repro.core.kernels import _validate_envelope
-
                 _validate_envelope(
                     graph,
                     dynamic,
@@ -1068,36 +1054,3 @@ class DistributedWalkEngine(WalkEngine):
         # The shared Move/Update tail: migration-recording moves via
         # the hook overrides, streak advance, zero-mass guard.
         return self._commit_round(walker_ids, accepted, edges)
-
-    def _distributed_multi_round(self, walker_ids: np.ndarray) -> np.ndarray:
-        """Fused multi-trial round for step-mode programs.
-
-        First-order dynamic programs resolve Pd locally — there is no
-        query exchange to pace — so the per-node compute runs the same
-        fused kernel as the local engine and only walker migrations hit
-        the network.  Per-node trial and Pd accounting uses the
-        kernel's per-walker consumption, so the cost model charges
-        exactly the work a sequential execution would have done.
-        """
-        outcome = batch_multi_trial_round(
-            self.graph,
-            self.tables,
-            self.program,
-            self.walkers,
-            walker_ids,
-            self.upper,
-            self.lower,
-            self._rng,
-            self.stats.counters,
-            num_trials=adaptive_trial_count(self.stats.counters),
-            validate_bounds=self.validate_bounds,
-            scratch=self._scratch,
-        )
-        self._account_lane_work(
-            self.walkers.current[walker_ids],
-            trials=outcome.trials_used,
-            pd=outcome.pd_evaluations,
-        )
-        return self._commit_round(
-            walker_ids, outcome.accepted, outcome.edges, outcome.trials_used
-        )

@@ -1,4 +1,4 @@
-"""The single-process walker-centric walk engine.
+"""The single-process walk engine.
 
 :class:`WalkEngine` executes any :class:`~repro.core.program.WalkerProgram`
 over a CSR graph following the iteration structure of paper section 5.1,
@@ -12,6 +12,11 @@ without the message-passing layer (the distributed variant lives in
    from alias/ITS, lower-bound pre-acceptance, on-demand Pd evaluation,
    outlier appendices;
 3. move walkers along accepted edges.
+
+Steps 2-3 run through the staged Gather → Move → Update loop of
+:mod:`repro.core.stepper`; each sampling round is one call of the
+:meth:`WalkEngine._sample_round` hook, which baseline engines override
+to swap the sampling strategy while sharing everything else.
 
 Pacing follows the paper: static and first-order programs move in
 *lockstep* — within one iteration every walker retries until it moves
@@ -36,6 +41,7 @@ import numpy as np
 from repro.core.config import WalkConfig
 from repro.core.kernels import (
     ZERO_MASS_GUARD_TRIALS,
+    GatherContext,
     KernelScratch,
     adaptive_trial_count,
     batch_multi_trial_round,
@@ -108,22 +114,20 @@ class WalkEngine:
         lower bound is always sound).  Outlier folding is toggled on
         the *program* (e.g. ``Node2Vec(fold_outlier=...)``) because the
         envelope must be widened consistently when folding is off.
-    force_scalar:
-        run the per-walker reference path even if the program provides
-        batch hooks (used by tests to check the two paths agree).
     validate_bounds:
         debug mode: assert every evaluated Pd respects the declared
         envelope, raising :class:`~repro.errors.ProgramError` on the
         first violation (which would otherwise silently skew the
         sampled law).  Off by default for speed.
-    fuse_trials:
-        use the fused multi-trial kernel for step-mode dynamic
-        programs, speculating K trials per round with K adapted to the
-        running acceptance rate.  Trial-mode (second-order) pacing is
-        never fused — one trial per superstep there is a semantic, not
-        an inefficiency — and static programs pre-accept every first
-        dart, so speculation would be pure waste.  Off gives the
-        single-trial kernel, kept as the semantic reference.
+
+    The sampling kernel follows from the program, never from an
+    option: step-paced dynamic programs run the fused multi-trial
+    kernel (K speculative trials per round, K adapted to the running
+    acceptance rate); trial-paced (second-order) programs spend one
+    trial per superstep — a semantic, not an inefficiency — and static
+    programs pre-accept every first dart, so both run the single-trial
+    kernel; programs without batch hooks (``supports_batch = False``)
+    run the per-walker scalar reference round.
     """
 
     # True on engines whose _account_lane_work override does real work
@@ -137,9 +141,7 @@ class WalkEngine:
         program: WalkerProgram,
         config: WalkConfig | None = None,
         use_lower_bound: bool = True,
-        force_scalar: bool = False,
         validate_bounds: bool = False,
-        fuse_trials: bool = True,
     ) -> None:
         config = config if config is not None else WalkConfig()
         program.validate()
@@ -160,7 +162,7 @@ class WalkEngine:
         self.config = config
         self.use_lower_bound = use_lower_bound
         self.validate_bounds = validate_bounds
-        self._batch = program.supports_batch and not force_scalar
+        self._batch = program.supports_batch
 
         init_start = time.perf_counter()
         static = program.edge_static_comp(graph)
@@ -214,41 +216,17 @@ class WalkEngine:
         self.stats = WalkStats()
         # "trial" pacing for second-order programs, "step" otherwise.
         self.sync_mode = "trial" if program.order == 2 else "step"
-        self.fuse_trials = fuse_trials
         self._fuse = (
-            fuse_trials
-            and self._batch
-            and program.dynamic
-            and self.sync_mode == "step"
+            self._batch and program.dynamic and self.sync_mode == "step"
         )
-        # Step-centric staging needs the batch kernels; scalar-path
-        # programs (and force_scalar runs) keep the walker-at-a-time
-        # reference loop regardless of the configured mode.  Engines
-        # that replace the trial round wholesale (the full-scan and
-        # typed-partition baselines) stay on the walker loop too — the
-        # staged path would route around their override.
-        overrides_round = (
-            type(self)._attempt_once is not WalkEngine._attempt_once
-        )
-        self.engine_mode = (
-            config.engine_mode
-            if self._batch and not overrides_round
-            else "walker"
-        )
-        self._scratch = (
-            KernelScratch()
-            if (self._fuse or self.engine_mode == "step")
-            else None
-        )
+        self._scratch = KernelScratch()
         self._has_custom_continue = (
             type(program).should_continue is not WalkerProgram.should_continue
         )
         self._has_teleports = (
             type(program).teleport_targets is not WalkerProgram.teleport_targets
         )
-        self._stepper = (
-            StepExecutor(self) if self.engine_mode == "step" else None
-        )
+        self._stepper = StepExecutor(self)
         # Observability seam (repro.obs): no tracer by default, so the
         # hot loop pays one attribute check per guard site.  `_obs`
         # carries run/superstep spans; `_stage_obs` carries the
@@ -372,11 +350,7 @@ class WalkEngine:
                 self._iteration()
                 executed += 1
         else:
-            with obs.span(
-                "engine.run",
-                track=self._obs_track,
-                args={"mode": self.engine_mode},
-            ) as run_handle:
+            with obs.span("engine.run", track=self._obs_track) as run_handle:
                 while self.walkers.num_active:
                     stop = self._should_stop(
                         executed, max_iterations, deadline, cancel
@@ -433,14 +407,7 @@ class WalkEngine:
                 survivors = self._advance_walkers(active)
         if survivors.size == 0:
             return
-
-        if self._stepper is not None:
-            self._stepper.run_iteration(survivors)
-        elif obs is None:
-            self._move_walkers(survivors)
-        else:
-            with obs.span("stage.move", track=self._obs_track):
-                self._move_walkers(survivors)
+        self._stepper.run_iteration(survivors)
         self._flush_streaming(active)
 
     def _advance_walkers(self, active: np.ndarray) -> np.ndarray:
@@ -450,18 +417,6 @@ class WalkEngine:
         if survivors.size == 0:
             return survivors
         return self._apply_teleports(survivors)
-
-    def _move_walkers(self, survivors: np.ndarray) -> None:
-        """Move stage of the walker-centric reference loop."""
-        if self.sync_mode == "trial":
-            self._attempt_once(survivors)
-        else:
-            # Lockstep: every surviving walker moves (or is terminated
-            # by the zero-mass guard) within this iteration.
-            pending = survivors
-            while pending.size:
-                moved = self._attempt_once(pending)
-                pending = pending[~moved]
 
     def _flush_streaming(self, active: np.ndarray) -> None:
         """Spill the sequences of walkers that died this iteration."""
@@ -541,12 +496,21 @@ class WalkEngine:
         return active
 
     # ------------------------------------------------------------------
-    def _attempt_once(self, walker_ids: np.ndarray) -> np.ndarray:
-        """One trial per walker; moves the accepted ones.
+    def _sample_round(self, ctx: GatherContext) -> np.ndarray:
+        """One sampling round over the gathered lanes — the unit the
+        staged loop repeats until the superstep's pacing is satisfied.
 
-        Returns the per-walker moved mask (aligned with walker_ids).
+        Runs the kernel the program implies (see the class docstring),
+        charges the lanes' work and commits through
+        :meth:`_commit_round`.  Returns the resolved-lane mask (moved,
+        killed, or guarded).  Baseline engines override this hook with
+        their own sampling strategy and commit through
+        :meth:`_commit_moves`.
         """
-        trials_spent = None
+        walker_ids = ctx.walker_ids
+        if not self._batch:
+            accepted, edges = self._scalar_round(walker_ids)
+            return self._commit_round(walker_ids, accepted, edges)
         if self._fuse:
             outcome = batch_multi_trial_round(
                 self.graph,
@@ -561,10 +525,14 @@ class WalkEngine:
                 num_trials=adaptive_trial_count(self.stats.counters),
                 validate_bounds=self.validate_bounds,
                 scratch=self._scratch,
+                gather=ctx,
             )
-            accepted, edges = outcome.accepted, outcome.edges
             trials_spent = outcome.trials_used
-        elif self._batch:
+            if self._accounts_lane_work:
+                self._account_lane_work(
+                    ctx.vertices, trials=trials_spent, pd=outcome.pd_evaluations
+                )
+        else:
             outcome = batch_trial_round(
                 self.graph,
                 self.tables,
@@ -576,15 +544,20 @@ class WalkEngine:
                 self._rng,
                 self.stats.counters,
                 validate_bounds=self.validate_bounds,
+                gather=ctx,
+                scratch=self._scratch,
             )
-            accepted, edges = outcome.accepted, outcome.edges
-        else:
-            accepted, edges = self._scalar_round(walker_ids)
-        return self._commit_round(walker_ids, accepted, edges, trials_spent)
+            trials_spent = None
+            if self._accounts_lane_work:
+                pd_per_lane = np.zeros(ctx.size, dtype=np.int64)
+                pd_per_lane[outcome.pd_lanes] = 1
+                self._account_lane_work(ctx.vertices, trials=1, pd=pd_per_lane)
+        return self._commit_round(
+            walker_ids, outcome.accepted, outcome.edges, trials_spent
+        )
 
     # ------------------------------------------------------------------
-    # Move/Update hooks — shared by the walker-centric loop and the
-    # step-centric executor; the distributed engine overrides the first
+    # Move/Update hooks — the distributed engine overrides the first
     # three to add per-node message and work accounting.
     # ------------------------------------------------------------------
     def _commit_round(
@@ -620,16 +593,14 @@ class WalkEngine:
                 self._rejection_streak[stuck] >= ZERO_MASS_GUARD_TRIALS
             ]
             if guarded_lanes.size:
+                # The guard always resolves a walker (kill or an exact
+                # move), so every guarded lane leaves the pending set.
                 if self._batch:
-                    # The guard always resolves a walker (kill or an
-                    # exact move), so every guarded lane leaves the
-                    # pending set.
                     self._run_guard(walker_ids[guarded_lanes])
-                    moved[guarded_lanes] = True
                 else:
                     for lane in guarded_lanes:
-                        if self._guard_walker(int(walker_ids[lane])):
-                            moved[lane] = True
+                        self._guard_walker(int(walker_ids[lane]))
+                moved[guarded_lanes] = True
         return moved
 
     def _commit_moves(self, movers: np.ndarray, targets: np.ndarray) -> None:
@@ -653,9 +624,16 @@ class WalkEngine:
         """Attribute sampling work to the walkers' locations.
 
         A no-op here; the distributed engine charges each vertex's
-        owning node so per-node utilisation stays truthful when the
-        step executor routes lanes through different strategies.
+        owning node so per-node utilisation stays truthful.
         """
+
+    def _terminate_dead_ends(self, ids: np.ndarray) -> None:
+        """End the walks of walkers with no eligible out-edge (paper
+        section 2.2's no-positive-probability rule)."""
+        if ids.size:
+            self.walkers.kill(ids)
+            self.stats.termination.by_dead_end += ids.size
+            self._rejection_streak[ids] = 0
 
     def _guard_batch(self, ids: np.ndarray) -> np.ndarray:
         """Vectorised zero-mass guard over several walkers at once.
@@ -681,10 +659,7 @@ class WalkEngine:
 
         dead = spans.totals <= 0.0
         if dead.any():
-            doomed = ids[dead]
-            self.walkers.kill(doomed)
-            self.stats.termination.by_dead_end += doomed.size
-            self._rejection_streak[doomed] = 0
+            self._terminate_dead_ends(ids[dead])
 
         live = np.flatnonzero(~dead)
         if live.size:
@@ -735,13 +710,14 @@ class WalkEngine:
 
         return pd_of
 
-    def _guard_walker(self, walker_id: int) -> bool:
-        """Zero-mass guard for a persistently rejected walker.
+    def _guard_walker(self, walker_id: int) -> None:
+        """Zero-mass guard for a persistently rejected walker (the
+        scalar round's counterpart of :meth:`_guard_batch`).
 
         Scans the walker's vertex once.  Zero eligible mass terminates
         the walk (no out-edge has positive transition probability);
         otherwise the walker moves by an exact draw from the scanned
-        distribution.  Returns True if the walker moved or terminated.
+        distribution.
         """
         mass, evaluations = full_scan_distribution(
             self.graph, self.tables, self.program, self.walkers, walker_id
@@ -749,19 +725,13 @@ class WalkEngine:
         self.stats.full_scan_evaluations += evaluations
         total = float(mass.sum())
         if total <= 0.0:
-            self.walkers.kill(np.asarray([walker_id]))
-            self.stats.termination.by_dead_end += 1
-            self._rejection_streak[walker_id] = 0
-            return True
+            self._terminate_dead_ends(np.asarray([walker_id]))
+            return
         cdf = np.cumsum(mass)
         draw = self._rng.random() * total
         local = int(np.searchsorted(cdf, draw, side="right"))
         start, _ = self.graph.edge_range(int(self.walkers.current[walker_id]))
-        target = self.graph.targets[start + local]
-        ids = np.asarray([walker_id])
-        self.walkers.move(ids, np.asarray([target]))
-        self._rejection_streak[walker_id] = 0
-        self.stats.total_steps += 1
-        if self._recorder is not None:
-            self._recorder.record_moves(ids, np.asarray([target]))
-        return True
+        edge = start + local
+        self._commit_moves(
+            np.asarray([walker_id]), self.graph.targets[edge : edge + 1]
+        )

@@ -73,7 +73,7 @@ TRIAL_FUSION_RESOLVE_TARGET = 0.8
 class KernelScratch:
     """Grow-only buffer pool reused across trial rounds.
 
-    Step-mode engines call the kernels hundreds of times per walk with
+    Step-paced engines call the kernels hundreds of times per walk with
     near-identical batch shapes; recycling the random-draw and mask
     buffers avoids re-allocating a few MB per round.  Buffers are keyed
     by name and grown geometrically, so a pool stabilises after the
@@ -136,12 +136,10 @@ def adaptive_trial_count(
 class GatherContext:
     """Product of the Gather stage: per-lane state fetched once.
 
-    The step-centric engine computes these arrays once per iteration
-    (per surviving walker) and threads them through every sampling
-    round, instead of re-gathering vertex state from the graph-wide
-    arrays inside each kernel call.  ``classes`` carries the degree
-    class per lane for the sampler selector; it is ``None`` when the
-    caller does not select per class (the walker-centric engine).
+    The staged loop computes these arrays once per iteration (per
+    surviving walker) and threads them through every sampling round,
+    instead of re-gathering vertex state from the graph-wide arrays
+    inside each kernel call.
 
     All arrays align lane-for-lane with ``walker_ids``.  Slicing with
     :meth:`take` keeps the alignment for shrinking pending sets.
@@ -152,7 +150,6 @@ class GatherContext:
     upper: np.ndarray
     lower: np.ndarray
     main_area: np.ndarray
-    classes: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -166,7 +163,6 @@ class GatherContext:
             upper=self.upper[lanes],
             lower=self.lower[lanes],
             main_area=self.main_area[lanes],
-            classes=self.classes[lanes] if self.classes is not None else None,
         )
 
 
@@ -176,7 +172,6 @@ def gather_stage(
     walker_ids: np.ndarray,
     upper_bounds: np.ndarray,
     lower_bounds: np.ndarray,
-    vertex_class: np.ndarray | None = None,
 ) -> GatherContext:
     """Fetch per-lane vertex state (the Gather stage) in one pass."""
     vertices = walkers.current[walker_ids]
@@ -187,7 +182,6 @@ def gather_stage(
         upper=upper,
         lower=lower_bounds[vertices],
         main_area=tables.totals[vertices] * upper,
-        classes=vertex_class[vertices] if vertex_class is not None else None,
     )
 
 
@@ -199,13 +193,13 @@ class TrialOutcome:
     where ``accepted[i]`` is True, ``edges[i]`` holds the flat index of
     the sampled edge; elsewhere ``edges[i]`` is -1.  ``pd_lanes`` lists
     the lane positions whose trial evaluated Pd (main-region misses of
-    the pre-acceptance floor plus appendix darts) — the per-class
-    evidence the sampler selector feeds on.
+    the pre-acceptance floor plus appendix darts), which the
+    distributed engine charges to each walker's node.
     """
 
     accepted: np.ndarray
     edges: np.ndarray
-    pd_lanes: np.ndarray | None = None
+    pd_lanes: np.ndarray
 
 
 @dataclass
@@ -259,8 +253,8 @@ def batch_trial_round(
     per evaluation, hence opt-in.
 
     ``gather`` supplies the Gather stage's pre-fetched per-lane state
-    (the step-centric engine computes it once per iteration); without
-    it the gathers run here.  ``scratch`` recycles the dart buffer
+    (the staged loop computes it once per iteration); without it the
+    gathers run here.  ``scratch`` recycles the dart buffer
     across rounds; both options leave the RNG stream untouched, so a
     round with or without them is bit-identical.
     """
@@ -656,11 +650,9 @@ class FullScanSpans:
     and ``evaluations[i]`` counts the Pd evaluations spent on it (the
     distributed engine charges them to the walker's node).
 
-    Shared by the engines' zero-mass guard and the step engine's
-    ``full_scan`` strategy, so both resolve walkers through the same
-    vectorised span assembly (one ``batch_dynamic_comp`` over the
-    concatenated spans, one global-CDF ``searchsorted`` for the
-    draws).
+    Built for the engines' batched zero-mass guard: one
+    ``batch_dynamic_comp`` over the concatenated spans, one global-CDF
+    ``searchsorted`` for the draws.
     """
 
     flat_edges: np.ndarray

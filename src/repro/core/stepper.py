@@ -1,408 +1,70 @@
 """Step-centric staged execution: Gather → Move → Update.
 
-The walker-centric engine treats each sampling round as one opaque
-batch: every kernel call re-gathers per-walker vertex state from the
-graph-wide arrays, and every walker runs the same strategy.  ThunderRW
-(PAPERS.md) shows the hot loop wants to be organised around *steps*
-instead: fetch the per-vertex state once per superstep (Gather), run
-the cheapest sampling strategy for each lane and apply all resulting
-transitions (Move), then advance bookkeeping — streaks, counters,
-selector evidence (Update).
+ThunderRW (PAPERS.md) organises the random-walk hot loop around
+*steps*: fetch the per-vertex state once per superstep (Gather), run
+the sampling rounds and apply the resulting transitions (Move), then
+advance bookkeeping — rejection streaks, the zero-mass guard (Update).
 
-:class:`StepExecutor` implements that staging for any engine built on
-:class:`~repro.core.engine.WalkEngine`.  Two sampler policies:
-
-* ``fixed`` (default) — the staged loop drives the *same* kernels with
-  the same RNG call granularity and the same move/kill batching as the
-  walker-centric engine, so its walks (and its determinism-sanitizer
-  event stream) are **bit-identical** to walker mode under one seed.
-  The staging still pays off: gathers are hoisted out of the kernels
-  and reused across a superstep's retry rounds, and the dart buffers
-  come from a shared scratch pool.
-* ``auto`` — each lane is routed by its vertex's degree class through
-  the :class:`~repro.core.selector.SamplerSelector` decision: plain
-  rejection trials, an exact full scan (one vectorised ``Ps * Pd``
-  sweep + CDF draw, the strategy that wins when acceptance rates
-  collapse), or dart-free direct sampling (static programs).  The walk
-  law is unchanged and runs are deterministic seed-for-seed, but the
-  RNG stream differs from fixed mode, so auto is a *policy* choice,
-  not a drop-in replay of walker mode.
-
-Engine-specific effects (migration messages, per-node work accounting
-in the cluster simulator) stay behind the engine hooks
-``_commit_moves`` / ``_run_guard`` / ``_account_lane_work``, so the
-distributed engine reuses this module's staging for its per-node
-compute unchanged.
+:class:`StepExecutor` is the only loop that samples for every engine
+built on :class:`~repro.core.engine.WalkEngine`.  The Gather stage runs
+once per superstep; retry rounds of step-paced programs reuse sliced
+views of the same per-lane arrays, because a rejected walker has not
+moved.  Each round is one call of the engine's ``_sample_round`` hook,
+so the kernel choice, the baselines' own strategies and the cluster
+simulator's per-node accounting all sit behind one seam.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.kernels import (
-    ZERO_MASS_GUARD_TRIALS,
-    GatherContext,
-    adaptive_trial_count,
-    batch_multi_trial_round,
-    batch_trial_round,
-    full_scan_spans,
-    gather_stage,
-)
-from repro.core.selector import (
-    STRATEGY_DIRECT,
-    STRATEGY_FULL_SCAN,
-    STRATEGY_REJECTION,
-    SamplerSelector,
-    classify_degrees,
-)
+from repro.core.kernels import GatherContext, gather_stage
 
-__all__ = ["StepExecutor", "GROUP_SAMPLE_EVERY"]
-
-# The vertex-group-size histogram is telemetry, not a decision input;
-# sampling it every iteration would cost an O(active) bincount per
-# superstep for no extra signal, so it is taken on the first iteration
-# and every N-th after.
-GROUP_SAMPLE_EVERY = 16
+__all__ = ["StepExecutor"]
 
 
 class StepExecutor:
-    """Drives one engine's supersteps through the staged hot loop.
-
-    Holds only *static* per-graph facts (degree classes, per-class
-    mean degrees inside the selector) and reusable scratch; all
-    mutable selection evidence lives on ``engine.stats.sampler`` so
-    checkpoint/restore rewinds it with the rest of the run state.
-    """
+    """Drives one engine's supersteps through the staged hot loop."""
 
     def __init__(self, engine) -> None:
         self.engine = engine
-        graph = engine.graph
-        degrees = graph.out_degrees()
-        self.vertex_class = classify_degrees(degrees)
-        self.auto = engine.config.sampler_policy == "auto"
-        self.selector = SamplerSelector(
-            degrees,
-            self.vertex_class,
-            engine.program.dynamic,
-            graph.num_edges,
-        )
-        self.scratch = engine._scratch
-        decision_stats = engine.stats.sampler
-        decision_stats.policy = engine.config.sampler_policy
-        self.tables = engine.tables
-        if self.auto:
-            self.selector.initial_decisions(
-                decision_stats, engine.config.static_sampler
-            )
-            self.tables = self._candidate_tables(decision_stats)
 
-    def _candidate_tables(self, decision_stats):
-        """The candidate generator the selector chose.
-
-        When it differs from the configured one, the other structure is
-        built over the same static weights (charged to init like every
-        sampling structure).
-        """
-        engine = self.engine
-        if decision_stats.candidate_source == engine.config.static_sampler:
-            return engine.tables
-        from repro.sampling.alias import VertexAliasTables
-        from repro.sampling.its import VertexITSTables
-
-        build = (
-            VertexAliasTables
-            if decision_stats.candidate_source == "alias"
-            else VertexITSTables
-        )
-        return build(engine.graph, engine.tables.static_weights)
-
-    # ------------------------------------------------------------------
-    # Stage driver
-    # ------------------------------------------------------------------
     def run_iteration(self, survivors: np.ndarray) -> None:
         """Execute one superstep's sampling stages for ``survivors``.
 
-        Pacing mirrors the walker-centric engine: trial-mode programs
-        spend one round; step-mode programs loop until every pending
-        walker resolved.  The Gather stage runs once — retry rounds
-        reuse sliced views of the same per-lane arrays, because a
-        rejected walker has not moved.
+        Trial-paced programs spend one round; step-paced programs loop
+        until every pending walker resolved.
         """
         engine = self.engine
         obs = engine._stage_obs
         if obs is None:
+            self._move(self._gather(survivors))
+            return
+        with obs.span(
+            "stage.gather",
+            track=engine._obs_track,
+            args={"lanes": int(survivors.size)},
+        ):
             ctx = self._gather(survivors)
-        else:
-            with obs.span(
-                "stage.gather",
-                track=engine._obs_track,
-                args={"lanes": int(survivors.size)},
-            ):
-                ctx = self._gather(survivors)
-        if obs is None:
+        with obs.span("stage.move", track=engine._obs_track):
             self._move(ctx)
-        else:
-            with obs.span("stage.move", track=engine._obs_track):
-                self._move(ctx)
 
     def _gather(self, survivors: np.ndarray) -> GatherContext:
-        """Gather stage: fetch per-lane vertex state once per superstep
-        (plus the occasional group-size telemetry sample)."""
+        """Gather stage: fetch per-lane vertex state once per superstep."""
         engine = self.engine
-        ctx = gather_stage(
-            engine.tables,
-            engine.walkers,
-            survivors,
-            engine.upper,
-            engine.lower,
-            self.vertex_class if self.auto else None,
+        return gather_stage(
+            engine.tables, engine.walkers, survivors, engine.upper, engine.lower
         )
-        if self.auto:
-            iteration = engine.stats.iterations
-            if iteration == 1 or iteration % GROUP_SAMPLE_EVERY == 0:
-                counts = np.bincount(ctx.vertices)
-                engine.stats.sampler.record_group_sizes(counts[counts > 0])
-        return ctx
 
     def _move(self, ctx: GatherContext) -> None:
         """Move stage: sampling rounds until the superstep's pacing is
         satisfied (one round in trial mode, drain in step mode)."""
         engine = self.engine
         if engine.sync_mode == "trial":
-            self._round(ctx)
+            engine._sample_round(ctx)
             return
         while ctx.size:
-            moved = self._round(ctx)
+            moved = engine._sample_round(ctx)
             if moved.all():
                 break
             ctx = ctx.take(~moved)
-
-    def _round(self, ctx: GatherContext) -> np.ndarray:
-        if self.auto:
-            return self._auto_round(ctx)
-        return self._fixed_round(ctx)
-
-    # ------------------------------------------------------------------
-    # Fixed policy: bit-identical to the walker-centric engine
-    # ------------------------------------------------------------------
-    def _fixed_round(self, ctx: GatherContext) -> np.ndarray:
-        """One round through the reference kernels, gathers hoisted."""
-        engine = self.engine
-        trials_spent = None
-        if engine._fuse:
-            outcome = batch_multi_trial_round(
-                engine.graph,
-                engine.tables,
-                engine.program,
-                engine.walkers,
-                ctx.walker_ids,
-                engine.upper,
-                engine.lower,
-                engine._rng,
-                engine.stats.counters,
-                num_trials=adaptive_trial_count(engine.stats.counters),
-                validate_bounds=engine.validate_bounds,
-                scratch=self.scratch,
-                gather=ctx,
-            )
-            trials_spent = outcome.trials_used
-        else:
-            outcome = batch_trial_round(
-                engine.graph,
-                engine.tables,
-                engine.program,
-                engine.walkers,
-                ctx.walker_ids,
-                engine.upper,
-                engine.lower,
-                engine._rng,
-                engine.stats.counters,
-                validate_bounds=engine.validate_bounds,
-                gather=ctx,
-                scratch=self.scratch,
-            )
-        if engine._accounts_lane_work:
-            if trials_spent is not None:
-                engine._account_lane_work(
-                    ctx.vertices,
-                    trials=trials_spent,
-                    pd=outcome.pd_evaluations,
-                )
-            else:
-                pd_per_lane = np.zeros(ctx.size, dtype=np.int64)
-                if outcome.pd_lanes is not None and outcome.pd_lanes.size:
-                    pd_per_lane[outcome.pd_lanes] = 1
-                engine._account_lane_work(
-                    ctx.vertices, trials=1, pd=pd_per_lane
-                )
-        return engine._commit_round(
-            ctx.walker_ids, outcome.accepted, outcome.edges, trials_spent
-        )
-
-    # ------------------------------------------------------------------
-    # Auto policy: per-degree-class strategy routing
-    # ------------------------------------------------------------------
-    def _auto_round(self, ctx: GatherContext) -> np.ndarray:
-        """One staged round with per-class strategies.
-
-        Stage order is fixed (decide → direct → scan → rejection →
-        kills → one move batch → streak/guard update), so two runs of
-        the same seeded config produce identical event streams.
-        Returns the resolved-lane mask (moved, killed, or guarded).
-        """
-        engine = self.engine
-        stats = engine.stats
-        decision_stats = stats.sampler
-        counters = stats.counters
-        graph = engine.graph
-        choices = self.selector.decide(decision_stats, stats.iterations)
-        lane_strategy = choices[ctx.classes]
-
-        resolved = np.zeros(ctx.size, dtype=bool)
-        targets = np.full(ctx.size, -1, dtype=np.int64)
-        kill_mask = np.zeros(ctx.size, dtype=bool)
-
-        # --- direct lanes: candidate draw is the sample (static Pd) ---
-        direct_lanes = np.flatnonzero(lane_strategy == STRATEGY_DIRECT)
-        if direct_lanes.size:
-            sub = ctx.take(direct_lanes)
-            edges = self.tables.sample_batch(sub.vertices, engine._rng)
-            targets[direct_lanes] = graph.targets[edges]
-            resolved[direct_lanes] = True
-            n = direct_lanes.size
-            counters.trials += n
-            counters.pre_accepts += n
-            counters.accepts += n
-            engine._account_lane_work(sub.vertices, trials=1)
-            self.selector.account_lanes(
-                decision_stats, sub.classes, STRATEGY_DIRECT
-            )
-
-        # --- full-scan lanes: exact resolution, move or terminate -----
-        scan_lanes = np.flatnonzero(lane_strategy == STRATEGY_FULL_SCAN)
-        if scan_lanes.size:
-            sub = ctx.take(scan_lanes)
-            spans = full_scan_spans(
-                graph, engine.tables, engine.program, engine.walkers,
-                sub.walker_ids,
-            )
-            stats.full_scan_evaluations += int(spans.evaluations.sum())
-            engine._account_lane_work(sub.vertices, pd=spans.evaluations)
-            dead = spans.totals <= 0.0
-            kill_mask[scan_lanes[dead]] = True
-            live = np.flatnonzero(~dead)
-            if live.size:
-                edges = spans.sample(live, engine._rng)
-                targets[scan_lanes[live]] = graph.targets[edges]
-            resolved[scan_lanes] = True
-            self.selector.account_lanes(
-                decision_stats, sub.classes, STRATEGY_FULL_SCAN
-            )
-
-        # --- rejection lanes: the reference kernels on the remainder --
-        rejection_lanes = np.flatnonzero(lane_strategy == STRATEGY_REJECTION)
-        stuck_streak: np.ndarray | None = None
-        if rejection_lanes.size:
-            sub = ctx.take(rejection_lanes)
-            if engine._fuse:
-                outcome = batch_multi_trial_round(
-                    graph,
-                    self.tables,
-                    engine.program,
-                    engine.walkers,
-                    sub.walker_ids,
-                    engine.upper,
-                    engine.lower,
-                    engine._rng,
-                    counters,
-                    num_trials=adaptive_trial_count(counters),
-                    validate_bounds=engine.validate_bounds,
-                    scratch=self.scratch,
-                    gather=sub,
-                )
-                trials_spent = outcome.trials_used
-                self.selector.account_rejection(
-                    decision_stats,
-                    sub.classes,
-                    trials_spent,
-                    outcome.accepted,
-                    pd_counts=outcome.pd_evaluations,
-                )
-                engine._account_lane_work(
-                    sub.vertices,
-                    trials=trials_spent,
-                    pd=outcome.pd_evaluations,
-                )
-            else:
-                outcome = batch_trial_round(
-                    graph,
-                    self.tables,
-                    engine.program,
-                    engine.walkers,
-                    sub.walker_ids,
-                    engine.upper,
-                    engine.lower,
-                    engine._rng,
-                    counters,
-                    validate_bounds=engine.validate_bounds,
-                    gather=sub,
-                    scratch=self.scratch,
-                )
-                trials_spent = None
-                pd_per_lane = np.zeros(sub.size, dtype=np.int64)
-                if outcome.pd_lanes is not None and outcome.pd_lanes.size:
-                    pd_per_lane[outcome.pd_lanes] = 1
-                self.selector.account_rejection(
-                    decision_stats,
-                    sub.classes,
-                    1,
-                    outcome.accepted,
-                    pd_lanes=outcome.pd_lanes,
-                )
-                engine._account_lane_work(
-                    sub.vertices, trials=1, pd=pd_per_lane
-                )
-            self.selector.account_lanes(
-                decision_stats, sub.classes, STRATEGY_REJECTION
-            )
-            accepted = outcome.accepted
-            targets[rejection_lanes[accepted]] = graph.targets[
-                outcome.edges[accepted]
-            ]
-            resolved[rejection_lanes[accepted]] = True
-            stuck_local = np.flatnonzero(~accepted)
-            if stuck_local.size:
-                stuck_streak = (
-                    trials_spent[stuck_local]
-                    if trials_spent is not None
-                    else np.ones(stuck_local.size, dtype=np.int64)
-                )
-                stuck_lanes = rejection_lanes[stuck_local]
-            else:
-                stuck_lanes = np.zeros(0, dtype=np.int64)
-        else:
-            stuck_lanes = np.zeros(0, dtype=np.int64)
-
-        # --- Move stage: kills, then one batched move -----------------
-        if kill_mask.any():
-            doomed = ctx.walker_ids[kill_mask]
-            engine.walkers.kill(doomed)
-            stats.termination.by_dead_end += doomed.size
-            engine._rejection_streak[doomed] = 0
-        move_mask = targets >= 0
-        if move_mask.any():
-            engine._commit_moves(
-                ctx.walker_ids[move_mask], targets[move_mask]
-            )
-
-        # --- Update stage: streaks and the zero-mass guard ------------
-        if stuck_lanes.size:
-            stuck_ids = ctx.walker_ids[stuck_lanes]
-            engine._rejection_streak[stuck_ids] += stuck_streak
-            guarded = stuck_lanes[
-                engine._rejection_streak[stuck_ids] >= ZERO_MASS_GUARD_TRIALS
-            ]
-            if guarded.size:
-                engine._run_guard(ctx.walker_ids[guarded])
-                resolved[guarded] = True
-        return resolved

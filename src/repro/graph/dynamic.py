@@ -39,6 +39,7 @@ walk sees are never silently wrong.
 
 from __future__ import annotations
 
+import bisect
 import os
 import struct
 from dataclasses import dataclass
@@ -1018,6 +1019,10 @@ def generate_churn_batches(
         )
     else:
         pairs = set(zip(sources.tolist(), graph.targets.tolist()))
+    # Deletes and reweights pick a uniform index into the edge set in
+    # sorted order, which defines the stream for a seed; the sorted
+    # view is maintained with bisect so a pick never re-sorts the set.
+    ordered = sorted(pairs)
     batches: list[UpdateBatch] = []
     for _ in range(num_epochs):
         updates: list[EdgeUpdate] = []
@@ -1034,14 +1039,15 @@ def generate_churn_batches(
                 else:
                     continue
                 pairs.add((u, v))
+                bisect.insort(ordered, (u, v))
                 weight = float(rng.uniform(weight_low, weight_high))
                 updates.append(EdgeUpdate("insert", u, v, weight))
             elif action < 0.7:
-                u, v = sorted(pairs)[int(rng.integers(len(pairs)))]
+                u, v = ordered.pop(int(rng.integers(len(ordered))))
                 pairs.remove((u, v))
                 updates.append(EdgeUpdate("delete", u, v))
             else:
-                u, v = sorted(pairs)[int(rng.integers(len(pairs)))]
+                u, v = ordered[int(rng.integers(len(ordered)))]
                 weight = float(rng.uniform(weight_low, weight_high))
                 updates.append(EdgeUpdate("reweight", u, v, weight))
         batches.append(UpdateBatch.from_updates(updates))

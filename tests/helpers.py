@@ -13,6 +13,7 @@ __all__ = [
     "empirical_counts",
     "assert_matches_distribution",
     "exact_node2vec_law",
+    "without_batch_hooks",
 ]
 
 
@@ -93,3 +94,14 @@ def exact_node2vec_law(
     total = law.sum()
     assert total > 0
     return law / total
+
+
+def without_batch_hooks(program):
+    """``program`` re-classed with ``supports_batch = False``, so the
+    engine runs it through the per-walker scalar reference round (the
+    only path for programs that implement just the scalar hooks)."""
+    cls = type(program)
+    program.__class__ = type(
+        f"Scalar{cls.__name__}", (cls,), {"supports_batch": False}
+    )
+    return program

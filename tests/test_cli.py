@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import argparse
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -27,6 +32,40 @@ class TestParser:
             build_parser().parse_args(
                 ["info", "--dataset", "twitter", "--edge-list", "x.txt"]
             )
+
+
+def _subcommands():
+    parser = build_parser()
+    (action,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return sorted(action.choices)
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", _subcommands())
+    def test_subcommand_help(self, command, capsys):
+        # argparse %-formats help text, so a stray "%" in any help
+        # string raises instead of printing.
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+    def test_run_perf_help(self):
+        script = (
+            pathlib.Path(__file__).resolve().parents[1]
+            / "benchmarks"
+            / "run_perf.py"
+        )
+        completed = subprocess.run(
+            [sys.executable, str(script), "--help"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "usage:" in completed.stdout
 
 
 class TestInfo:

@@ -374,23 +374,30 @@ class TestWalRecovery:
 # Epoch pinning through the engine stack
 # ----------------------------------------------------------------------
 class TestEnginePinning:
-    @pytest.mark.parametrize("engine_mode", ["step", "walker"])
-    def test_engine_pins_snapshot(self, engine_mode):
+    @pytest.mark.parametrize("pacing", ["step", "trial"])
+    def test_engine_pins_snapshot(self, pacing):
+        # DeepWalk is step-paced, node2vec trial-paced (second order).
+        def make_program():
+            return DeepWalk() if pacing == "step" else Node2Vec(p=2.0, q=0.5)
+
         dyn = DynamicGraph(small_graph(seed=7))
         dyn.commit([EdgeUpdate("insert", 0, 1, 2.0)])
         config = WalkConfig(
-            num_walkers=30, max_steps=8, record_paths=True, seed=4,
-            engine_mode=engine_mode,
+            num_walkers=30, max_steps=8, record_paths=True, seed=4
         )
-        engine = WalkEngine(dyn, DeepWalk(), config)
+        engine = WalkEngine(dyn, make_program(), config)
+        assert engine.sync_mode == pacing
         assert engine.graph_epoch == 1
         # Commits after construction must not affect the pinned walk.
         dyn.commit([EdgeUpdate("delete", 0, 1)])
         result = engine.run()
         assert result.stats.graph_epoch == 1
 
-        static = WalkEngine(dyn.snapshot_at(1).graph, DeepWalk(), config)
-        np.testing.assert_array_equal(result.paths, static.run().paths)
+        static = WalkEngine(dyn.snapshot_at(1).graph, make_program(), config)
+        static_paths = static.run().paths
+        assert len(result.paths) == len(static_paths)
+        for pinned, fresh in zip(result.paths, static_paths):
+            np.testing.assert_array_equal(pinned, fresh)
 
     def test_engine_on_snapshot_matches_materialized(self):
         dyn = DynamicGraph(small_graph(seed=8))
@@ -528,3 +535,35 @@ def test_generate_churn_batches_replayable():
         second.commit(batch)
     assert first.snapshot().graph == second.snapshot().graph
     assert first.stats.conservation_balanced()
+
+
+# Digests of seeded churn streams, recorded when the generator still
+# re-sorted the live edge set on every delete/reweight; the bisect-kept
+# sorted list must reproduce the stream byte for byte.
+CHURN_STREAM_DIGESTS = {
+    (True, 0): "eb6cc7f8086b4433573f2452dfb066f2",
+    (True, 7): "3c4719bfbc05697c4a845b2a7a78c3f8",
+    (False, 0): "ad8ec292fdc1424cd32225e998f51a81",
+    (False, 7): "cc7f64ce430f161af6e8628f79f4e3eb",
+}
+
+
+@pytest.mark.parametrize("undirected,seed", sorted(CHURN_STREAM_DIGESTS))
+def test_generate_churn_batches_stream_pinned(undirected, seed):
+    import hashlib
+
+    from repro.graph.generators import truncated_power_law_graph
+
+    graph = truncated_power_law_graph(
+        300, 2.0, 2, 30, seed=5, undirected=undirected
+    )
+    digest = hashlib.blake2b(digest_size=16)
+    for batch in generate_churn_batches(
+        graph, num_epochs=6, updates_per_epoch=200, seed=seed
+    ):
+        for array in (
+            batch.kinds, batch.sources, batch.targets,
+            batch.weights, batch.edge_types,
+        ):
+            digest.update(np.ascontiguousarray(array).tobytes())
+    assert digest.hexdigest() == CHURN_STREAM_DIGESTS[(undirected, seed)]

@@ -11,7 +11,11 @@ from repro.graph.builder import assign_random_weights, from_edges
 from repro.graph.generators import uniform_degree_graph
 from repro.graph.hetero import assign_random_edge_types
 
-from tests.helpers import diamond_graph, two_triangle_graph
+from tests.helpers import (
+    diamond_graph,
+    two_triangle_graph,
+    without_batch_hooks,
+)
 
 
 def assert_paths_valid(graph, paths):
@@ -157,7 +161,7 @@ class TestScalarBatchAgreement:
     def test_node2vec_scalar_batch_same_law(self):
         graph = two_triangle_graph()
         law_counts = {}
-        for force_scalar in (False, True):
+        for scalar in (False, True):
             config = WalkConfig(
                 num_walkers=4000,
                 max_steps=2,
@@ -165,15 +169,12 @@ class TestScalarBatchAgreement:
                 seed=11,
                 start_vertices=np.full(4000, 1),
             )
-            engine = WalkEngine(
-                graph,
-                Node2Vec(p=0.5, q=2.0, biased=False),
-                config,
-                force_scalar=force_scalar,
-            )
-            result = engine.run()
+            program = Node2Vec(p=0.5, q=2.0, biased=False)
+            if scalar:
+                program = without_batch_hooks(program)
+            result = WalkEngine(graph, program, config).run()
             finals = [int(path[-1]) for path in result.paths]
-            law_counts[force_scalar] = np.bincount(finals, minlength=5)
+            law_counts[scalar] = np.bincount(finals, minlength=5)
         scalar, batch = law_counts[True], law_counts[False]
         # Same law: the two histograms agree within sampling noise.
         total = scalar.sum()
@@ -185,12 +186,13 @@ class TestScalarBatchAgreement:
         )
         schemes = [[0, 1], [2, 3]]
         outcomes = {}
-        for force_scalar in (False, True):
+        for scalar in (False, True):
             config = WalkConfig(num_walkers=200, max_steps=6, seed=5)
-            result = WalkEngine(
-                graph, MetaPathWalk(schemes), config, force_scalar=force_scalar
-            ).run()
-            outcomes[force_scalar] = result.stats.termination.by_dead_end
+            program = MetaPathWalk(schemes)
+            if scalar:
+                program = without_batch_hooks(program)
+            result = WalkEngine(graph, program, config).run()
+            outcomes[scalar] = result.stats.termination.by_dead_end
         # Both paths hit dead-ends at comparable rates.
         assert abs(outcomes[True] - outcomes[False]) < 60
 

@@ -20,6 +20,7 @@ from tests.helpers import (
     assert_matches_distribution,
     diamond_graph,
     exact_node2vec_law,
+    without_batch_hooks,
 )
 
 NUM_WALKERS = 12_000
@@ -110,10 +111,9 @@ class TestNode2VecExactness:
         graph = diamond_graph()
         paths = second_step_law(
             graph,
-            Node2Vec(p=0.5, q=2.0, biased=False),
+            without_batch_hooks(Node2Vec(p=0.5, q=2.0, biased=False)),
             start=0,
             num_walkers=4000,
-            force_scalar=True,
         )
         samples = [int(path[1]) * 4 + int(path[2]) for path in paths]
         assert_matches_distribution(

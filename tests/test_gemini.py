@@ -154,3 +154,52 @@ class TestCostStructure:
         assert int(result.cluster.pd_evaluations_per_node.sum()) == (
             result.stats.counters.pd_evaluations
         )
+
+
+class TestGeminiRoundForEveryProgram:
+    def test_metapath_runs_gemini_two_phase_round(self, monkeypatch):
+        """Meta-path is step-paced and dynamic: Gemini must still run
+        its own full-scan two-phase round, not KnightKing's rejection
+        kernels — so its Pd bill is the full scan's, and its simulated
+        time differs from the KnightKing engine's."""
+        from repro.algorithms import MetaPathWalk
+        from repro.baselines import FullScanWalkEngine
+        from repro.graph.hetero import assign_random_edge_types
+
+        graph = assign_random_edge_types(
+            uniform_degree_graph(200, 6, seed=0, undirected=True), 4, seed=1
+        )
+        schemes = [[0, 1, 2], [2, 3]]
+        config = WalkConfig(num_walkers=80, max_steps=10, seed=5)
+
+        rounds = []
+        gemini_round = GeminiWalkEngine._sample_round
+
+        def counting_round(self, ctx):
+            rounds.append(ctx.size)
+            return gemini_round(self, ctx)
+
+        monkeypatch.setattr(GeminiWalkEngine, "_sample_round", counting_round)
+        gemini = GeminiWalkEngine(
+            graph, MetaPathWalk(schemes), config, num_nodes=4
+        ).run()
+        knightking = DistributedWalkEngine(
+            graph, MetaPathWalk(schemes), config, num_nodes=4
+        ).run()
+        full_scan = FullScanWalkEngine(graph, MetaPathWalk(schemes), config).run()
+
+        assert rounds and sum(rounds) > 0
+        assert (
+            gemini.stats.pd_evaluations_per_step
+            != knightking.stats.pd_evaluations_per_step
+        )
+        assert (
+            gemini.cluster.simulated_seconds
+            != knightking.cluster.simulated_seconds
+        )
+        # Every step scans every out-edge: the full-scan baseline's bill.
+        assert (
+            gemini.stats.counters.pd_evaluations
+            == full_scan.stats.counters.pd_evaluations
+        )
+        assert gemini.stats.full_scan_evaluations == 0

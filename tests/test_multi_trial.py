@@ -214,21 +214,39 @@ class StuckAtZero(WalkerProgram):
         ).astype(np.float64)
 
 
+class SecondOrderStuckAtZero(StuckAtZero):
+    """The same Pd, paced one trial per superstep (single-trial kernel)."""
+
+    order = 2
+
+
 class TestGuardIntegration:
     @pytest.mark.parametrize("fuse", [False, True])
     def test_unsorted_walker_ids_guard_correct_lane(self, fuse):
         """The guard must flag the guarded walker's *lane*, not the
-        position a sorted-array search would guess (satellite fix)."""
+        position a sorted-array search would guess (satellite fix).
+        Step-paced dynamic programs take the fused kernel, trial-paced
+        ones the single-trial kernel; both commit the same way."""
+        from repro.core.kernels import gather_stage
+
         graph = from_edges(2, [(0, 1), (1, 0)])
+        program = StuckAtZero() if fuse else SecondOrderStuckAtZero()
         engine = WalkEngine(
-            graph, StuckAtZero(), WalkConfig(num_walkers=2, seed=3),
-            fuse_trials=fuse,
+            graph, program, WalkConfig(num_walkers=2, seed=3)
         )
+        assert engine._fuse is fuse
         # Walker 0 stands at vertex 0 (all Pd zero), walker 1 at 1.
         engine.walkers.current[:] = [0, 1]
         engine._rejection_streak[:] = ZERO_MASS_GUARD_TRIALS - 1
         # Deliberately unsorted: lane 0 holds walker 1.
-        moved = engine._attempt_once(np.array([1, 0], dtype=np.int64))
+        ctx = gather_stage(
+            engine.tables,
+            engine.walkers,
+            np.array([1, 0], dtype=np.int64),
+            engine.upper,
+            engine.lower,
+        )
+        moved = engine._sample_round(ctx)
         assert moved.all()
         # Walker 1 moved normally; walker 0 was killed by the guard.
         assert bool(engine.walkers.alive[1])
@@ -242,7 +260,6 @@ class TestGuardIntegration:
         engine = WalkEngine(
             graph, StuckAtZero(),
             WalkConfig(num_walkers=1, max_steps=10, seed=5),
-            fuse_trials=True,
         )
         engine.walkers.current[:] = [0]
         result = engine.run()

@@ -10,6 +10,8 @@ from repro.core.engine import WalkEngine
 from repro.graph.builder import from_edges
 from repro.graph.generators import ring_graph, uniform_degree_graph
 
+from tests.helpers import without_batch_hooks
+
 
 @pytest.fixture
 def graph():
@@ -27,7 +29,7 @@ class TestBehaviour:
     def test_scalar_path_agrees(self, graph):
         config = WalkConfig(num_walkers=50, max_steps=10, record_paths=True, seed=2)
         result = WalkEngine(
-            graph, NonBacktrackingWalk(), config, force_scalar=True
+            graph, without_batch_hooks(NonBacktrackingWalk()), config
         ).run()
         for path in result.paths:
             for position in range(2, len(path)):

@@ -399,10 +399,9 @@ class TestChromeTraceExport:
 
 
 class TestLocalEngineTracing:
-    def _run(self, graph, tracer, mode="step"):
+    def _run(self, graph, tracer):
         config = WalkConfig(
-            num_walkers=50, max_steps=10, seed=6, engine_mode=mode,
-            record_paths=True,
+            num_walkers=50, max_steps=10, seed=6, record_paths=True,
         )
         engine = WalkEngine(graph, DeepWalk(), config)
         engine.observe(tracer)
@@ -424,11 +423,18 @@ class TestLocalEngineTracing:
             )
         assert run_span.args["status"] == "complete"
 
-    def test_walker_mode_also_traced(self, graph):
+    def test_baseline_engine_traced_through_stages(self, graph):
+        """Baselines plug into the same staged loop, so their runs
+        carry the full Gather/Move/Update span set too."""
+        from repro.baselines import FullScanWalkEngine
+
         tracer = Tracer()
-        self._run(graph, tracer, mode="walker")
-        assert tracer.find("stage.move")
-        assert tracer.find("stage.update")
+        config = WalkConfig(num_walkers=50, max_steps=10, seed=6)
+        engine = FullScanWalkEngine(graph, DeepWalk(), config)
+        engine.observe(tracer)
+        engine.run()
+        for stage in ("stage.gather", "stage.move", "stage.update"):
+            assert tracer.find(stage)
 
     def test_disabled_tracer_zero_spans_bit_identical(self, graph):
         plain = self._run(graph, None)

@@ -1,27 +1,20 @@
-"""Step-centric engine equivalence and sampler auto-selection tests.
+"""Staged step loop: partial results and zero-mass guard lanes.
 
-The step-centric executor (Gather -> Move -> Update staging in
-``repro.core.stepper``) is required to be *bit-identical* to the
-walker-at-a-time loop under the ``fixed`` sampler policy: same kernels,
-same RNG stream, same move/kill batching.  These tests pin that
-contract for every program family — static, second-order, and dynamic
-step-paced — on both the local and the distributed engine, plus the
-partial-result paths (pause/cancel), the unsorted-lane guard fix, and
-the ``auto`` policy's weaker contract (same walk law, deterministic
-run-to-run).
+The Gather -> Move -> Update loop (``repro.core.stepper``) is the only
+sampling path of every engine; its walks are pinned event for event by
+``tests/test_golden_digests.py``.  These tests cover what the digests
+do not: paused and cancelled runs return well-formed partials, and the
+zero-mass guard resolves the right lane when walker ids arrive
+unsorted.
 """
 
 import numpy as np
 import pytest
 
-from repro.algorithms import DeepWalk, MetaPathWalk, Node2Vec
-from repro.cluster import DistributedWalkEngine
+from repro.algorithms import DeepWalk, Node2Vec
 from repro.core.config import WalkConfig
 from repro.core.engine import WalkEngine, ZERO_MASS_GUARD_TRIALS
-from repro.errors import ConfigError
 from repro.graph.generators import uniform_degree_graph
-from repro.graph.hetero import assign_random_edge_types
-from repro.lint.sanitizer import run_sanitized
 from repro.service import CancelToken
 
 
@@ -29,101 +22,41 @@ def plain_graph():
     return uniform_degree_graph(150, 6, seed=1, undirected=True)
 
 
-def typed_graph():
-    return assign_random_edge_types(
-        uniform_degree_graph(150, 6, seed=1, undirected=True), 4, seed=2
-    )
-
-
-# (program factory, graph factory) per family; fresh instances per
-# engine so no hidden program state can leak between the two runs.
 PROGRAMS = {
-    "deepwalk": (DeepWalk, plain_graph),
-    "node2vec": (lambda: Node2Vec(p=2.0, q=0.5, biased=False), plain_graph),
-    "metapath": (lambda: MetaPathWalk([[0, 1, 2], [2, 3]]), typed_graph),
+    "deepwalk": DeepWalk,
+    "node2vec": lambda: Node2Vec(p=2.0, q=0.5, biased=False),
 }
 
 
-def run_mode(name, engine_mode, *, nodes=0, sampler_policy="fixed",
-             seed=9, **run_kwargs):
-    make_program, make_graph = PROGRAMS[name]
-    graph = make_graph()
+def run_program(name, seed=9, **run_kwargs):
     config = WalkConfig(
-        num_walkers=120,
-        max_steps=12,
-        record_paths=True,
-        seed=seed,
-        engine_mode=engine_mode,
-        sampler_policy=sampler_policy,
+        num_walkers=120, max_steps=12, record_paths=True, seed=seed
     )
-    if nodes > 0:
-        engine = DistributedWalkEngine(
-            graph, make_program(), config, num_nodes=nodes
-        )
-    else:
-        engine = WalkEngine(graph, make_program(), config)
-    return engine.run(**run_kwargs)
-
-
-class TestLocalEquivalence:
-    @pytest.mark.parametrize("name", sorted(PROGRAMS))
-    def test_step_matches_walker_bit_identical(self, name):
-        step = run_mode(name, "step")
-        walker = run_mode(name, "walker")
-        assert len(step.paths) == len(walker.paths)
-        for a, b in zip(step.paths, walker.paths):
-            np.testing.assert_array_equal(a, b)
-        assert step.stats.total_steps == walker.stats.total_steps
-        assert step.stats.counters.trials == walker.stats.counters.trials
-        assert (
-            step.stats.counters.pd_evaluations
-            == walker.stats.counters.pd_evaluations
-        )
-        assert (
-            step.stats.full_scan_evaluations
-            == walker.stats.full_scan_evaluations
-        )
-
-    def test_modes_selected_as_configured(self):
-        graph = plain_graph()
-        step = WalkEngine(graph, DeepWalk(), WalkConfig(engine_mode="step"))
-        walker = WalkEngine(graph, DeepWalk(), WalkConfig(engine_mode="walker"))
-        assert step.engine_mode == "step" and step._stepper is not None
-        assert walker.engine_mode == "walker" and walker._stepper is None
-
-
-class TestDistributedEquivalence:
-    @pytest.mark.parametrize("name", sorted(PROGRAMS))
-    def test_step_matches_walker_including_messages(self, name):
-        step = run_mode(name, "step", nodes=4)
-        walker = run_mode(name, "walker", nodes=4)
-        for a, b in zip(step.paths, walker.paths):
-            np.testing.assert_array_equal(a, b)
-        assert step.stats.total_steps == walker.stats.total_steps
-        assert step.stats.messages_sent == walker.stats.messages_sent
-        np.testing.assert_array_equal(
-            step.cluster.trials_per_node, walker.cluster.trials_per_node
-        )
-        np.testing.assert_array_equal(
-            step.cluster.pd_evaluations_per_node,
-            walker.cluster.pd_evaluations_per_node,
-        )
+    return WalkEngine(plain_graph(), PROGRAMS[name](), config).run(
+        **run_kwargs
+    )
 
 
 class TestPartialResults:
     @pytest.mark.parametrize("name", ["deepwalk", "node2vec"])
     def test_pause_yields_identical_partials(self, name):
-        step = run_mode(name, "step", max_iterations=4)
-        walker = run_mode(name, "walker", max_iterations=4)
-        assert step.status == walker.status == "paused"
-        for a, b in zip(step.paths, walker.paths):
+        """A paused run is replayable and its paths are prefixes of the
+        complete run's (pausing consumes no randomness)."""
+        first = run_program(name, max_iterations=4)
+        second = run_program(name, max_iterations=4)
+        complete = run_program(name)
+        assert first.status == second.status == "paused"
+        assert complete.status == "complete"
+        for a, b, full in zip(first.paths, second.paths, complete.paths):
             np.testing.assert_array_equal(a, b)
-        assert step.stats.total_steps == walker.stats.total_steps
+            np.testing.assert_array_equal(a, full[: a.size])
+        assert first.stats.total_steps == second.stats.total_steps
+        assert first.stats.total_steps < complete.stats.total_steps
 
     def test_cancel_token_stops_step_engine(self):
         token = CancelToken()
         token.cancel()
-        result = run_mode("deepwalk", "step", cancel=token)
+        result = run_program("deepwalk", cancel=token)
         assert result.status == "cancelled"
         # Partial results stay well-formed: one recorded start vertex
         # per walker, zero steps executed.
@@ -165,95 +98,8 @@ class TestGuardLanes:
         graph = from_edges(2, [(0, 1), (1, 0)])
         engine = WalkEngine(
             graph, StuckProgram(),
-            WalkConfig(num_walkers=1, max_steps=10, seed=5,
-                       engine_mode="step"),
+            WalkConfig(num_walkers=1, max_steps=10, seed=5),
         )
         engine.walkers.current[:] = [0]
         result = engine.run()
         assert result.stats.termination.by_dead_end == 1
-
-
-class TestAutoPolicy:
-    @pytest.mark.parametrize("name", sorted(PROGRAMS))
-    def test_deterministic_run_to_run(self, name):
-        first = run_mode(name, "step", sampler_policy="auto")
-        second = run_mode(name, "step", sampler_policy="auto")
-        for a, b in zip(first.paths, second.paths):
-            np.testing.assert_array_equal(a, b)
-        assert (
-            first.stats.sampler.chosen_by_class()
-            == second.stats.sampler.chosen_by_class()
-        )
-
-    @pytest.mark.parametrize("name", sorted(PROGRAMS))
-    def test_walks_follow_stored_edges(self, name):
-        _, make_graph = PROGRAMS[name]
-        graph = make_graph()
-        result = run_mode(name, "step", sampler_policy="auto")
-        for path in result.paths:
-            for source, target in zip(path[:-1], path[1:]):
-                assert graph.has_edge(int(source), int(target))
-
-    def test_decisions_recorded_in_stats(self):
-        result = run_mode("deepwalk", "step", sampler_policy="auto")
-        sampler = result.stats.sampler
-        assert sampler.policy == "auto"
-        assert sampler.chosen_by_class()
-        as_dict = sampler.as_dict()
-        assert as_dict["policy"] == "auto"
-        assert as_dict["chosen_by_class"]
-
-    def test_distributed_auto_deterministic(self):
-        first = run_mode("metapath", "step", nodes=4, sampler_policy="auto")
-        second = run_mode("metapath", "step", nodes=4, sampler_policy="auto")
-        for a, b in zip(first.paths, second.paths):
-            np.testing.assert_array_equal(a, b)
-        assert first.stats.messages_sent == second.stats.messages_sent
-
-
-class TestConfigValidation:
-    def test_auto_requires_step_mode(self):
-        with pytest.raises(ConfigError):
-            WalkConfig(engine_mode="walker", sampler_policy="auto")
-
-    def test_unknown_engine_mode_rejected(self):
-        with pytest.raises(ConfigError):
-            WalkConfig(engine_mode="vertex")
-
-    def test_unknown_sampler_policy_rejected(self):
-        with pytest.raises(ConfigError):
-            WalkConfig(sampler_policy="greedy")
-
-
-class TestCrossEngineSanitizer:
-    def factories(self, nodes=0):
-        def make(engine_mode):
-            def factory():
-                make_program, make_graph = PROGRAMS["node2vec"]
-                config = WalkConfig(
-                    num_walkers=40, max_steps=8, seed=13,
-                    engine_mode=engine_mode,
-                )
-                if nodes > 0:
-                    return DistributedWalkEngine(
-                        make_graph(), make_program(), config, num_nodes=nodes
-                    )
-                return WalkEngine(make_graph(), make_program(), config)
-
-            return factory
-
-        return [make("step"), make("walker")]
-
-    def test_step_and_walker_fold_to_same_hash(self):
-        report = run_sanitized(self.factories())
-        assert report.deterministic
-        assert len(set(report.rolling_hashes)) == 1
-
-    def test_distributed_streams_fold_too(self):
-        report = run_sanitized(self.factories(nodes=3))
-        assert report.deterministic
-        assert len(set(report.rolling_hashes)) == 1
-
-    def test_single_factory_sequence_rejected(self):
-        with pytest.raises(ValueError):
-            run_sanitized(self.factories()[:1])
