@@ -68,13 +68,15 @@ class GeminiWalkEngine(DistributedWalkEngine):
             thread_policy=thread_policy,
             cost_model=cost_model,
         )
-        self.mirrored = MirroredPartition(graph, num_nodes)
+        # self.graph is the pinned CSR (a DynamicGraph or EpochSnapshot
+        # argument resolves to its snapshot's graph in the base class).
+        vertices = np.arange(self.graph.num_vertices)
+        self.mirrored = MirroredPartition(self.graph, num_nodes)
         self._mirror_counts = self.mirrored.mirror_counts
         # Whether each vertex's master also hosts some of its out-edges
         # (then one "mirror" interaction is local and free).
-        masters = self.partition.owners(np.arange(graph.num_vertices))
         self._master_is_mirror = self.mirrored.hosts_edges(
-            np.arange(graph.num_vertices), masters
+            vertices, self.partition.owners(vertices)
         )
 
     # ------------------------------------------------------------------

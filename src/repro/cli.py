@@ -60,10 +60,8 @@ from repro.graph.hetero import assign_random_edge_types
 from repro.graph.io import load_edge_list
 from repro.obs import (
     Tracer,
-    registry_from_cluster_stats,
-    registry_from_service_metrics,
-    registry_from_walk_stats,
     to_prometheus_text,
+    to_registry,
     write_chrome_trace,
 )
 
@@ -494,9 +492,9 @@ def _run_walk(args: argparse.Namespace) -> int:
         print(f"stats: {result.stats.summary()}")
     print(f"termination: {result.stats.termination}")
     if args.emit_metrics is not None:
-        registry = registry_from_walk_stats(result.stats)
+        registry = to_registry(result.stats)
         if args.nodes > 0:
-            registry_from_cluster_stats(result.cluster, registry)
+            to_registry(result.cluster, registry)
         with open(args.emit_metrics, "w", encoding="utf-8") as handle:
             handle.write(to_prometheus_text(registry))
         print(f"metrics written to {args.emit_metrics}")
@@ -641,7 +639,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         f"failed={metrics.failed} exact={balanced}"
     )
     if args.emit_metrics is not None:
-        registry = registry_from_service_metrics(metrics)
+        registry = to_registry(metrics)
         with open(args.emit_metrics, "w", encoding="utf-8") as handle:
             handle.write(to_prometheus_text(registry))
         print(f"metrics written to {args.emit_metrics}")

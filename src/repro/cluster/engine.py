@@ -40,7 +40,7 @@ vertices across the survivors.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 
 import numpy as np
 
@@ -65,7 +65,8 @@ from repro.core.config import WalkConfig
 from repro.core.engine import WalkEngine, WalkResult
 from repro.core.kernels import GatherContext, _validate_envelope
 from repro.core.program import WalkerProgram
-from repro.errors import FaultError, NodeCrashError
+from repro.core.stats import metric, stat
+from repro.errors import FaultError, NodeCrashError, ProgramError
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import ContiguousPartition, partition_graph
 
@@ -74,6 +75,7 @@ __all__ = [
     "ClusterStats",
     "DistributedWalkResult",
     "DEFAULT_CHECKPOINT_INTERVAL",
+    "SUPERSTEP_SECONDS_BUCKETS",
 ]
 
 # Checkpoint cadence (supersteps) when fault tolerance is on and the
@@ -83,27 +85,90 @@ __all__ = [
 DEFAULT_CHECKPOINT_INTERVAL = 8
 
 
+# Histogram boundaries of cluster_superstep_seconds (decades).
+SUPERSTEP_SECONDS_BUCKETS: tuple[float, ...] = (
+    1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0,
+)
+
+
 @dataclass
 class ClusterStats:
     """System-level statistics of one distributed execution."""
 
-    num_nodes: int
-    simulated_seconds: float = 0.0
-    superstep_times: list[float] = field(default_factory=list)
+    num_nodes: int = stat(
+        metric("cluster_nodes", "simulated cluster size", "gauge"),
+        default=MISSING,
+    )
+    simulated_seconds: float = stat(
+        metric("cluster_simulated_seconds", "simulated run time (cost model)"),
+        default=0.0,
+    )
+    # A counter over a list counts its entries: one per superstep.
+    superstep_times: list[float] = stat(
+        metric("cluster_supersteps", "BSP supersteps executed"),
+        metric("cluster_superstep_seconds",
+               "simulated per-superstep barrier times", "histogram",
+               boundaries=SUPERSTEP_SECONDS_BUCKETS),
+        factory=list,
+    )
     light_mode_node_supersteps: int = 0
-    network: Network | None = None
+    network: Network | None = stat(
+        metric("cluster_messages", "remote messages delivered",
+               attr="total_messages"),
+        metric("cluster_message_bytes", "remote bytes on the wire",
+               attr="total_bytes"),
+        metric("cluster_local_deliveries", "same-node walker deliveries",
+               attr="local_deliveries"),
+        default=None,
+    )
     # Per-node lifetime load (paper section 6.1: the 1-D partition
     # balances memory, not necessarily walk processing).
-    trials_per_node: np.ndarray | None = None
-    pd_evaluations_per_node: np.ndarray | None = None
+    trials_per_node: np.ndarray | None = stat(
+        metric("cluster_node_trials", "lifetime rejection trials per node",
+               index="node"),
+        default=None,
+    )
+    pd_evaluations_per_node: np.ndarray | None = stat(
+        metric("cluster_node_pd_evaluations",
+               "lifetime Pd evaluations per node", index="node"),
+        default=None,
+    )
     walker_supersteps_per_node: np.ndarray | None = None
     # Fault-tolerance accounting (always present; all-zero on healthy
     # runs) and physical-layer delivery counters (None without a plan).
-    recovery: RecoveryStats = field(default_factory=RecoveryStats)
-    delivery: DeliveryStats | None = None
+    recovery: RecoveryStats = stat(
+        metric("cluster_crashes", "injected node crashes", attr="crashes"),
+        metric("cluster_checkpoints_taken", "recovery checkpoints",
+               attr="checkpoints_taken"),
+        metric("cluster_replayed_supersteps",
+               "supersteps replayed during recovery",
+               attr="replayed_supersteps"),
+        metric("cluster_recovery_seconds", "simulated seconds spent recovering",
+               attr="recovery_seconds"),
+        factory=RecoveryStats,
+    )
+    delivery: DeliveryStats | None = stat(
+        *(
+            metric(name, "reliable-delivery accounting", attr=attr)
+            for name, attr in (
+                ("cluster_retransmissions", "retransmissions"),
+                ("cluster_dedups", "dedups"),
+                ("cluster_injected_drops", "drops"),
+                ("cluster_injected_duplicates", "duplicates"),
+                ("cluster_injected_delays", "delays"),
+            )
+        ),
+        default=None,
+    )
     # Straggler-tolerance accounting (None unless the health monitor
     # is active — degraded fault plan or explicit StragglerPolicy).
-    health: HealthStats | None = None
+    health: HealthStats | None = stat(
+        metric("cluster_straggler_suspicions",
+               "health-monitor suspicion events", attr="suspect_events"),
+        metric("cluster_walkers_rebalanced", "walkers migrated off suspects",
+               attr="migrated_walkers"),
+        default=None,
+    )
 
     @property
     def num_supersteps(self) -> int:
@@ -224,6 +289,15 @@ class DistributedWalkEngine(WalkEngine):
         straggler_policy: StragglerPolicy | None = None,
         health_policy: HealthPolicy | None = None,
     ) -> None:
+        # The per-node rounds resolve Pd in batches; the scalar fallback
+        # of the local engine has no distributed counterpart.
+        if program.dynamic and (
+            type(program).batch_dynamic_comp is WalkerProgram.batch_dynamic_comp
+        ):
+            raise ProgramError(
+                f"{type(program).__name__} is dynamic but does not implement "
+                "batch_dynamic_comp, which the distributed engine needs"
+            )
         super().__init__(
             graph,
             program,

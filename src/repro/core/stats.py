@@ -5,6 +5,11 @@ time, and machine-independent work counts (transition-probability
 evaluations per step, Table 1 / Table 5 / Figure 6; active walkers per
 iteration, Figure 5).  :class:`WalkStats` collects both for every
 engine in this repository, so benchmarks can print either.
+
+Each stat field that is exported declares its registry metrics in its
+``field(metadata=...)`` through :func:`stat` and :func:`metric`.  The
+declarations are plain data: :func:`repro.obs.to_registry` projects
+them, and :meth:`ServiceMetrics.merge` folds each field by its kind.
 """
 
 from __future__ import annotations
@@ -12,14 +17,60 @@ from __future__ import annotations
 import itertools
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Any
 
 import numpy as np
 
 from repro.sampling.incremental import MaintenanceStats
 from repro.sampling.rejection import SamplingCounters
 
-__all__ = ["WalkStats", "TerminationBreakdown", "ServiceMetrics"]
+__all__ = [
+    "WalkStats",
+    "TerminationBreakdown",
+    "ServiceMetrics",
+    "ACTIVE_WALKER_BUCKETS",
+    "metric",
+    "stat",
+]
+
+# Histogram boundaries of walk_active_walkers (powers of ten).
+ACTIVE_WALKER_BUCKETS: tuple[float, ...] = (
+    1.0, 10.0, 100.0, 1_000.0, 10_000.0, 100_000.0, 1_000_000.0,
+)
+
+
+def metric(
+    name: str, help: str, kind: str = "counter", **spec: Any
+) -> dict[str, Any]:
+    """One registry metric exported by a stat field.
+
+    ``kind`` is ``"counter"``, ``"gauge"`` or ``"histogram"``.  ``spec``
+    may add ``attr`` (the attribute, or zero-argument method, of an
+    object-valued field to read), ``labels`` (fixed labels), ``index``
+    (the label naming each position of a list or key of a dict) and
+    ``boundaries`` (histogram buckets; the registry default otherwise).
+    """
+    return {"name": name, "help": help, "kind": kind, **spec}
+
+
+def stat(
+    *metrics: dict[str, Any],
+    kind: str | None = None,
+    default: Any = 0,
+    factory: Any = None,
+) -> Any:
+    """A stat dataclass field declaring the metrics it exports.
+
+    ``kind`` is how the field's own value folds when two stat objects
+    merge (counter adds, gauge takes the max, histogram list extends, a
+    counter dict adds per key); it defaults to the first metric's kind.
+    ``default=dataclasses.MISSING`` makes the field required.
+    """
+    metadata = {"kind": kind or metrics[0]["kind"], "metrics": metrics}
+    if factory is not None:
+        return field(default_factory=factory, metadata=metadata)
+    return field(default=default, metadata=metadata)
 
 
 @dataclass
@@ -61,21 +112,65 @@ class WalkStats:
         walker initialization).
     """
 
-    counters: SamplingCounters = field(default_factory=SamplingCounters)
-    termination: TerminationBreakdown = field(default_factory=TerminationBreakdown)
-    total_steps: int = 0
-    teleports: int = 0
-    iterations: int = 0
-    active_per_iteration: list[int] = field(default_factory=list)
-    full_scan_evaluations: int = 0
-    messages_sent: int = 0
-    wall_time_seconds: float = 0.0
-    init_time_seconds: float = 0.0
+    counters: SamplingCounters = stat(
+        metric("walk_sampling_trials", "rejection-sampling trials",
+               attr="trials"),
+        metric("walk_pd_evaluations", "dynamic-component evaluations",
+               attr="pd_evaluations"),
+        metric("walk_pre_accepts", "lower-bound pre-accepted trials",
+               attr="pre_accepts"),
+        factory=SamplingCounters,
+    )
+    termination: TerminationBreakdown = stat(
+        *(
+            metric("walk_terminations", "walker terminations by cause",
+                   attr=f"by_{reason}", labels={"reason": reason})
+            for reason in ("step_limit", "probability", "dead_end")
+        ),
+        factory=TerminationBreakdown,
+    )
+    total_steps: int = stat(metric("walk_steps", "successful walker moves"))
+    teleports: int = stat(metric("walk_teleports", "teleport moves"))
+    iterations: int = stat(
+        metric("walk_iterations", "engine supersteps executed")
+    )
+    active_per_iteration: list[int] = stat(
+        metric("walk_active_walkers",
+               "active walkers entering each superstep (paper Fig. 5)",
+               "histogram", boundaries=ACTIVE_WALKER_BUCKETS),
+        factory=list,
+    )
+    full_scan_evaluations: int = stat(
+        metric("walk_full_scan_evaluations",
+               "Pd evaluations spent in zero-mass scans")
+    )
+    messages_sent: int = stat(
+        metric("walk_messages_sent", "walker/query messages sent")
+    )
+    wall_time_seconds: float = stat(
+        metric("walk_wall_seconds", "wall-clock seconds in the walk loop"),
+        default=0.0,
+    )
+    init_time_seconds: float = stat(
+        metric("walk_init_seconds", "sampler/walker initialisation seconds"),
+        default=0.0,
+    )
     # Dynamic-graph runs: the snapshot epoch the walk pinned, and the
     # owning DynamicGraph's incremental sampler-maintenance counters
     # (verification probes, mismatches, full-rebuild fallbacks).
-    graph_epoch: int | None = None
-    maintenance: MaintenanceStats | None = None
+    graph_epoch: int | None = stat(
+        metric("walk_graph_epoch", "pinned dynamic-graph epoch", "gauge"),
+        default=None,
+    )
+    maintenance: MaintenanceStats | None = stat(
+        metric("walk_sampler_epochs_maintained",
+               "epochs whose tables were produced incrementally",
+               attr="epochs_maintained"),
+        metric("walk_sampler_full_rebuilds",
+               "sampler table builds that ran from scratch",
+               attr="full_rebuilds"),
+        default=None,
+    )
 
     @property
     def pd_evaluations_per_step(self) -> float:
@@ -132,10 +227,10 @@ class ServiceMetrics:
         requests offered to the service / accepted into the queue.
     served:
         requests that ran to a result (complete or deadline-partial).
-    shed:
+    shed_reasons:
         requests rejected by admission control, evicted by a shedding
-        policy, or refused by the open circuit breaker
-        (``shed_reasons`` itemises why).
+        policy, or refused by the open circuit breaker, by cause; the
+        read-only ``shed`` is their sum.
     failed:
         requests whose execution raised.
     degraded:
@@ -149,25 +244,45 @@ class ServiceMetrics:
         the p50/p99 figures.
     """
 
-    submitted: int = 0
-    admitted: int = 0
-    served: int = 0
-    shed: int = 0
-    failed: int = 0
-    degraded: int = 0
-    deadline_hits: int = 0
-    queue_depth_peak: int = 0
+    submitted: int = stat(metric("service_submitted", "requests offered"))
+    admitted: int = stat(metric("service_admitted", "requests queued"))
+    served: int = stat(metric("service_served", "requests answered"))
+    failed: int = stat(metric("service_failed", "requests that raised"))
+    degraded: int = stat(
+        metric("service_degraded", "requests served degraded")
+    )
+    deadline_hits: int = stat(
+        metric("service_deadline_hits",
+               "served with a deadline-exceeded partial")
+    )
+    queue_depth_peak: int = stat(
+        metric("service_queue_depth_peak", "admission-queue high watermark",
+               "gauge")
+    )
     # Distributed requests (cluster-simulator executions) and their
-    # straggler-tolerance activity, aggregated across requests.
-    distributed_runs: int = 0
-    straggler_suspicions: int = 0
-    walkers_rebalanced: int = 0
-    speculative_wins: int = 0
+    # straggler-tolerance activity, aggregated across requests.  Fields
+    # with ``stat(kind=...)`` alone are merged but not exported.
+    distributed_runs: int = stat(
+        metric("service_distributed_runs",
+               "requests executed on the cluster simulator")
+    )
+    straggler_suspicions: int = stat(kind="counter")
+    walkers_rebalanced: int = stat(kind="counter")
+    speculative_wins: int = stat(kind="counter")
     # Dynamic-graph update stream committed through apply_updates.
-    updates_applied: int = 0
-    epochs_committed: int = 0
-    shed_reasons: dict[str, int] = field(default_factory=dict)
-    latencies_seconds: list[float] = field(default_factory=list)
+    updates_applied: int = stat(
+        metric("service_updates_applied", "dynamic-graph updates committed")
+    )
+    epochs_committed: int = stat(kind="counter")
+    shed_reasons: dict[str, int] = stat(
+        metric("service_shed", "requests shed by cause", index="reason"),
+        factory=dict,
+    )
+    latencies_seconds: list[float] = stat(
+        metric("service_request_latency_seconds",
+               "submit-to-response latency", "histogram"),
+        factory=list,
+    )
     # Merge identity: every instance is a unique source; an aggregate
     # remembers which sources it has absorbed so re-delivering the same
     # shard delta (SupervisedPool retries, duplicated result messages)
@@ -175,22 +290,9 @@ class ServiceMetrics:
     source_id: str = field(default_factory=_next_metrics_source)
     merged_sources: set[str] = field(default_factory=set)
 
-    # Additive counters folded by merge(); peak gauges and reason maps
-    # are handled separately.
-    _ADDITIVE_FIELDS = (
-        "submitted",
-        "admitted",
-        "served",
-        "failed",
-        "degraded",
-        "deadline_hits",
-        "distributed_runs",
-        "straggler_suspicions",
-        "walkers_rebalanced",
-        "speculative_wins",
-        "updates_applied",
-        "epochs_committed",
-    )
+    @property
+    def shed(self) -> int:
+        return sum(self.shed_reasons.values())
 
     @property
     def resolved(self) -> int:
@@ -209,7 +311,9 @@ class ServiceMetrics:
         once (the overlapping relay is refused whole; merge topology
         should be a tree, with each delta shipped to exactly one
         aggregate).  Returns ``True`` if ``other`` was absorbed,
-        ``False`` if it was a duplicate.
+        ``False`` if it was a duplicate.  Each field folds by its
+        declared kind, the rules :meth:`MetricsRegistry.merge` applies
+        to the projected series.
         """
         if other is self:
             return False
@@ -223,21 +327,24 @@ class ServiceMetrics:
                 return False
             self.merged_sources.add(other.source_id)
             self.merged_sources |= other.merged_sources
-            for name in self._ADDITIVE_FIELDS:
-                setattr(self, name, getattr(self, name) + getattr(other, name))
-            self.shed += other.shed
-            for reason, count in other.shed_reasons.items():
-                self.shed_reasons[reason] = (
-                    self.shed_reasons.get(reason, 0) + count
-                )
-            self.queue_depth_peak = max(
-                self.queue_depth_peak, other.queue_depth_peak
-            )
-            self.latencies_seconds.extend(other.latencies_seconds)
+            for stat_field in fields(self):
+                kind = stat_field.metadata.get("kind")
+                if kind is None:
+                    continue
+                name = stat_field.name
+                mine, theirs = getattr(self, name), getattr(other, name)
+                if kind == "histogram":
+                    mine.extend(theirs)
+                elif kind == "gauge":
+                    setattr(self, name, max(mine, theirs))
+                elif isinstance(mine, dict):
+                    for key, count in theirs.items():
+                        mine[key] = mine.get(key, 0) + count
+                else:
+                    setattr(self, name, mine + theirs)
         return True
 
     def record_shed(self, reason: str) -> None:
-        self.shed += 1
         self.shed_reasons[reason] = self.shed_reasons.get(reason, 0) + 1
 
     def record_latency(self, seconds: float) -> None:

@@ -1,5 +1,7 @@
 """Deterministic-safe observability: metrics registry, span tracer,
-exporters, and adapters over the existing stat objects.
+and exporters.  :func:`to_registry` projects the stat objects
+(``WalkStats``, ``ClusterStats``, ``ServiceMetrics``) through the
+metrics their fields declare.
 
 Design rules (docs/INTERNALS.md section 16):
 
@@ -15,11 +17,6 @@ Design rules (docs/INTERNALS.md section 16):
   certifies the disabled path at <3% steps/sec overhead.
 """
 
-from .adapters import (
-    registry_from_cluster_stats,
-    registry_from_service_metrics,
-    registry_from_walk_stats,
-)
 from .exporters import (
     to_chrome_trace,
     to_json_lines,
@@ -27,20 +24,17 @@ from .exporters import (
     write_chrome_trace,
 )
 from .metrics import (
-    ACTIVE_WALKER_BUCKETS,
     DEFAULT_LATENCY_BUCKETS,
-    SUPERSTEP_SECONDS_BUCKETS,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
+    to_registry,
 )
 from .tracer import Span, Tracer, default_clock
 
 __all__ = [
-    "ACTIVE_WALKER_BUCKETS",
     "DEFAULT_LATENCY_BUCKETS",
-    "SUPERSTEP_SECONDS_BUCKETS",
     "Counter",
     "Gauge",
     "Histogram",
@@ -48,11 +42,9 @@ __all__ = [
     "Span",
     "Tracer",
     "default_clock",
-    "registry_from_cluster_stats",
-    "registry_from_service_metrics",
-    "registry_from_walk_stats",
     "to_chrome_trace",
     "to_json_lines",
     "to_prometheus_text",
+    "to_registry",
     "write_chrome_trace",
 ]

@@ -1,7 +1,8 @@
 """Typed metrics registry: counters, gauges, histograms.
 
 The registry is the single funnel for every number the repo already
-counts (``WalkStats``, ``ServiceMetrics``, ``ClusterStats``) and for
+counts (``WalkStats``, ``ServiceMetrics``, ``ClusterStats``, projected
+by :func:`to_registry` from the metrics their fields declare) and for
 new instrumentation.  Three properties drive the design:
 
 * **Mergeable across processes.**  SupervisedPool workers build a
@@ -21,9 +22,10 @@ new instrumentation.  Three properties drive the design:
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import re
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Any, Iterator
 
 from ..errors import ObsError
 
@@ -33,20 +35,14 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS",
-    "ACTIVE_WALKER_BUCKETS",
-    "SUPERSTEP_SECONDS_BUCKETS",
+    "to_registry",
 ]
 
-# Fixed boundaries shared by every producer of the same metric family,
-# so shard-local histograms always merge exactly.
+# Default histogram boundaries (request latencies, seconds).  A metric
+# family keeps one set of boundaries for every producer, so shard-local
+# histograms always merge exactly.
 DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = (
     0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-)
-ACTIVE_WALKER_BUCKETS: tuple[float, ...] = (
-    1.0, 10.0, 100.0, 1_000.0, 10_000.0, 100_000.0, 1_000_000.0,
-)
-SUPERSTEP_SECONDS_BUCKETS: tuple[float, ...] = (
-    1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0,
 )
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -268,3 +264,58 @@ class MetricsRegistry:
                 )
             mine.merge_from(inst)
         return self
+
+
+def to_registry(
+    stats: Any, registry: MetricsRegistry | None = None, **labels: str
+) -> MetricsRegistry:
+    """Project a stat dataclass (``WalkStats``, ``ClusterStats``,
+    ``ServiceMetrics``) into a registry.
+
+    Each field exports the metrics declared in its
+    ``field(metadata={"metrics": ...})`` (see :func:`repro.core.stats.metric`);
+    a ``None`` field exports nothing.  ``attr`` reads an attribute of the
+    field's object, calling it if it is a method.  A histogram observes
+    every entry of a list; a counter or gauge with an ``index`` label
+    exports one series per list position or dict key, and without one a
+    list counts its entries.  ``labels`` go on every series, so sources
+    labelled apart (per shard, per request) merge without colliding.
+    """
+    reg = registry if registry is not None else MetricsRegistry()
+    for stat_field in dataclasses.fields(stats):
+        value = getattr(stats, stat_field.name)
+        if value is None:
+            continue
+        for spec in stat_field.metadata.get("metrics", ()):
+            _project(reg, spec, value, {**labels, **spec.get("labels", {})})
+    return reg
+
+
+def _project(
+    reg: MetricsRegistry, spec: dict, value: Any, labels: dict[str, str]
+) -> None:
+    name, help_text, kind = spec["name"], spec["help"], spec["kind"]
+    if "attr" in spec:
+        value = getattr(value, spec["attr"])
+        if callable(value):
+            value = value()
+    if kind == "histogram":
+        hist = reg.histogram(
+            name,
+            help_text,
+            spec.get("boundaries", DEFAULT_LATENCY_BUCKETS),
+            **labels,
+        )
+        for entry in value:
+            hist.observe(float(entry))
+        return
+    if "index" in spec:
+        entries = value.items() if isinstance(value, dict) else enumerate(value)
+        series = [({**labels, spec["index"]: str(k)}, v) for k, v in entries]
+    else:
+        series = [(labels, len(value) if isinstance(value, list) else value)]
+    for series_labels, amount in series:
+        if kind == "gauge":
+            reg.gauge(name, help_text, **series_labels).set(amount)
+        else:
+            reg.counter(name, help_text, **series_labels).inc(float(amount))

@@ -41,7 +41,7 @@ from repro.core.program import WalkerProgram
 from repro.core.stats import WalkStats
 from repro.errors import ConfigError
 from repro.graph.csr import CSRGraph
-from repro.obs import MetricsRegistry, registry_from_walk_stats
+from repro.obs import MetricsRegistry, to_registry
 from repro.service.breaker import RetryBudget
 from repro.service.deadline import Deadline
 from repro.service.pool import SupervisedPool
@@ -125,7 +125,7 @@ def _run_shard(args):
     result = WalkEngine(graph, program, shard_config_).run(deadline=deadline)
     # Per-shard metric delta, built where the stats live (the worker
     # process) and shipped back over the result pipe for merging.
-    delta = registry_from_walk_stats(result.stats, shard=str(index))
+    delta = to_registry(result.stats, shard=str(index))
     return result.stats, result.paths, result.walkers.steps, result.status, delta
 
 
@@ -196,6 +196,14 @@ def run_parallel_walk(
         merged.teleports += stats.teleports
         merged.full_scan_evaluations += stats.full_scan_evaluations
         merged.iterations = max(merged.iterations, stats.iterations)
+        # Shards run their supersteps side by side: superstep i's
+        # active walkers are the sum over shards that reached it.
+        active = merged.active_per_iteration
+        for step, count in enumerate(stats.active_per_iteration):
+            if step < len(active):
+                active[step] += count
+            else:
+                active.append(count)
         merged.wall_time_seconds = max(
             merged.wall_time_seconds, stats.wall_time_seconds
         )

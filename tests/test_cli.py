@@ -1,7 +1,9 @@
 """Tests for the command-line interface."""
 
 import argparse
+import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -173,6 +175,65 @@ class TestWalk:
         walks = load_corpus(corpus_path)
         assert len(walks) == 20
         assert all(len(walk) == 7 for walk in walks)
+
+
+def _prometheus_totals(path) -> dict[str, float]:
+    """Sample values of a Prometheus text export, summed over labels."""
+    totals: dict[str, float] = {}
+    for line in pathlib.Path(path).read_text(encoding="utf-8").splitlines():
+        if line and not line.startswith("#"):
+            series, value = line.rsplit(" ", 1)
+            name = series.split("{", 1)[0]
+            totals[name] = totals.get(name, 0.0) + float(value)
+    return totals
+
+
+class TestObservabilityExports:
+    """The CLI's metric and trace exports, end to end."""
+
+    def test_distributed_walk_exports(self, capsys, tmp_path):
+        metrics, trace = tmp_path / "walk.prom", tmp_path / "walk.json"
+        code = main(
+            [
+                "walk", "--dataset", "livejournal", "--scale", "0.05",
+                "--walkers", "20", "--length", "5", "--nodes", "4",
+                "--emit-metrics", str(metrics), "--emit-trace", str(trace),
+            ]
+        )
+        assert code == 0
+        steps = int(re.search(r"steps=(\d+)", capsys.readouterr().out)[1])
+        totals = _prometheus_totals(metrics)
+        assert totals["walk_steps_total"] == steps == 100
+        assert totals["cluster_nodes"] == 4
+        assert json.loads(trace.read_text(encoding="utf-8"))["traceEvents"]
+
+    def test_serve_exports_balanced_accounting(self, capsys, tmp_path):
+        metrics = tmp_path / "serve.prom"
+        code = main(
+            [
+                "serve", "--dataset", "livejournal", "--scale", "0.02",
+                "--requests", "24", "--emit-metrics", str(metrics),
+            ]
+        )
+        assert code == 0
+        assert "exact=True" in capsys.readouterr().out
+        totals = _prometheus_totals(metrics)
+        assert totals["service_submitted_total"] == 24
+        assert totals["service_submitted_total"] == (
+            totals["service_served_total"]
+            + totals.get("service_shed_total", 0.0)
+            + totals["service_failed_total"]
+        )
+
+    def test_sanitize_runs(self, capsys):
+        code = main(
+            [
+                "sanitize", "--dataset", "livejournal", "--scale", "0.02",
+                "--walkers", "10", "--length", "4",
+            ]
+        )
+        assert code == 0
+        assert "deterministic" in capsys.readouterr().out
 
 
 class TestBench:

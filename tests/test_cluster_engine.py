@@ -12,6 +12,8 @@ from repro.cluster import (
 )
 from repro.core.config import WalkConfig
 from repro.core.engine import WalkEngine
+from repro.core.program import WalkerProgram
+from repro.errors import ProgramError
 from repro.graph.generators import uniform_degree_graph
 from repro.graph.hetero import assign_random_edge_types
 
@@ -52,6 +54,29 @@ class TestExecution:
         assert result.cluster.network.total_messages() == 0
         # Local deliveries still happen (and are charged in the model).
         assert result.cluster.network.local_deliveries() > 0
+
+    def test_scalar_only_dynamic_program_rejected_at_construction(self, graph):
+        """A dynamic program with only scalar hooks walks locally; the
+        cluster engine refuses it before running instead of failing in
+        its first distributed round."""
+
+        class ScalarDynamic(WalkerProgram):
+            dynamic = True
+
+            def edge_dynamic_comp(self, graph, walker, edge_index, answer=None):
+                return 0.5 if walker.current % 2 else 1.0
+
+            def dynamic_upper_bound(self, graph, vertex):
+                return 1.0
+
+            def dynamic_lower_bound(self, graph, vertex):
+                return 0.5
+
+        config = WalkConfig(num_walkers=10, max_steps=4, seed=1)
+        local = WalkEngine(graph, ScalarDynamic(), config).run()
+        assert local.stats.total_steps == 40
+        with pytest.raises(ProgramError, match="batch_dynamic_comp"):
+            DistributedWalkEngine(graph, ScalarDynamic(), config, num_nodes=2)
 
     def test_distribution_matches_local_engine(self):
         graph = diamond_graph()

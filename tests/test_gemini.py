@@ -7,6 +7,7 @@ from repro.algorithms import DeepWalk, Node2Vec, UniformWalk
 from repro.baselines import GeminiWalkEngine
 from repro.cluster import DistributedWalkEngine, MessageKind
 from repro.core.config import WalkConfig
+from repro.graph.dynamic import DynamicGraph, EdgeUpdate
 from repro.graph.generators import uniform_degree_graph
 
 from tests.helpers import diamond_graph
@@ -25,6 +26,25 @@ class TestExecution:
         for path in result.paths:
             for source, target in zip(path[:-1], path[1:]):
                 assert graph.has_edge(int(source), int(target))
+
+    def test_dynamic_graph_and_snapshot_inputs(self, graph):
+        """A DynamicGraph or EpochSnapshot walks its pinned epoch."""
+        dyn = DynamicGraph(graph)
+        dyn.commit([EdgeUpdate("insert", 0, 199)])
+        snapshot = dyn.snapshot()
+        config = WalkConfig(num_walkers=40, max_steps=8, seed=3,
+                            record_paths=True)
+        reference = GeminiWalkEngine(
+            snapshot.graph, DeepWalk(), config, num_nodes=4
+        ).run()
+        for source in (dyn, snapshot):
+            result = GeminiWalkEngine(
+                source, DeepWalk(), config, num_nodes=4
+            ).run()
+            assert result.stats.graph_epoch == 1
+            assert result.stats.total_steps == reference.stats.total_steps
+            for path, expected in zip(result.paths, reference.paths):
+                np.testing.assert_array_equal(path, expected)
 
     def test_distribution_matches_knightking(self):
         """Two-phase sampling draws from the same law."""

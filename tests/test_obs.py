@@ -1,6 +1,6 @@
 """Tests for the unified telemetry layer (repro.obs).
 
-Covers the registry/tracer primitives, the adapters over existing stat
+Covers the registry/tracer primitives, the projection of the stat
 objects, the three exporter formats, and the integration contracts the
 issue pins: traced local runs nest Gather/Move/Update under supersteps,
 distributed walker hops stitch across node tracks via shared trace
@@ -16,22 +16,20 @@ import pytest
 
 from repro.algorithms import DeepWalk, Node2Vec
 from repro.cluster import DistributedWalkEngine, FaultPlan, MessageFaults
+from repro.cluster.engine import SUPERSTEP_SECONDS_BUCKETS
 from repro.core.config import WalkConfig
 from repro.core.engine import WalkEngine
 from repro.core.stats import ServiceMetrics
 from repro.errors import ObsError
 from repro.graph.generators import uniform_degree_graph
 from repro.obs import (
-    SUPERSTEP_SECONDS_BUCKETS,
     Histogram,
     MetricsRegistry,
     Tracer,
-    registry_from_cluster_stats,
-    registry_from_service_metrics,
-    registry_from_walk_stats,
     to_chrome_trace,
     to_json_lines,
     to_prometheus_text,
+    to_registry,
     write_chrome_trace,
 )
 
@@ -212,15 +210,17 @@ class TestTracer:
 
 
 # ---------------------------------------------------------------------------
-# Adapters over the existing stat objects
+# Projection of the stat objects through their declared metrics
 # ---------------------------------------------------------------------------
 
 
 class TestAdapters:
+    """``to_registry`` adapts each stat object to the registry."""
+
     def test_walk_stats_adapter(self, graph):
         config = WalkConfig(num_walkers=40, max_steps=10, seed=4)
         result = WalkEngine(graph, DeepWalk(), config).run()
-        registry = registry_from_walk_stats(result.stats)
+        registry = to_registry(result.stats)
         assert registry.value("walk_steps") == result.stats.total_steps
         assert (
             registry.value("walk_terminations", reason="step_limit")
@@ -232,7 +232,7 @@ class TestAdapters:
     def test_walk_stats_adapter_labels_propagate(self, graph):
         config = WalkConfig(num_walkers=10, max_steps=5, seed=4)
         result = WalkEngine(graph, DeepWalk(), config).run()
-        registry = registry_from_walk_stats(result.stats, shard="3")
+        registry = to_registry(result.stats, shard="3")
         assert registry.value("walk_steps", shard="3") > 0
 
     def test_service_metrics_adapter(self):
@@ -242,7 +242,7 @@ class TestAdapters:
         metrics.record_shed("queue_full")
         metrics.record_shed("queue_full")
         metrics.record_latency(0.02)
-        registry = registry_from_service_metrics(metrics)
+        registry = to_registry(metrics)
         assert registry.value("service_submitted") == 5
         assert registry.value("service_shed", reason="queue_full") == 2
         assert registry.get("service_request_latency_seconds").count == 1
@@ -253,7 +253,7 @@ class TestAdapters:
             graph, DeepWalk(), config, num_nodes=4
         )
         result = engine.run()
-        registry = registry_from_cluster_stats(result.cluster)
+        registry = to_registry(result.cluster)
         assert registry.value("cluster_nodes") == 4
         assert (
             registry.value("cluster_supersteps")

@@ -131,6 +131,22 @@ class TestParallelExecution:
         result = run_parallel_walk(graph, PPR(), config, num_workers=3)
         assert result.stats.termination.total == 200
 
+    @pytest.mark.parametrize(
+        "program,max_steps", [(DeepWalk(), 2), (PPR(), None)]
+    )
+    def test_active_per_iteration_merged(self, graph, program, max_steps):
+        config = WalkConfig(
+            num_walkers=90,
+            max_steps=max_steps,
+            termination_probability=0.0 if max_steps else 0.2,
+            seed=3,
+        )
+        result = run_parallel_walk(graph, program, config, num_workers=2)
+        active = result.stats.active_per_iteration
+        assert len(active) == result.stats.iterations
+        assert active[0] == config.num_walkers
+        assert active == sorted(active, reverse=True)
+
     def test_distribution_matches_single_engine(self):
         """Sharded executions draw from the same law."""
         graph = diamond_graph()
